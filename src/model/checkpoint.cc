@@ -97,14 +97,16 @@ Status LoadModelServerData(const std::string& directory, ModelServer* server) {
     if (entry.path().extension() != ".traces") continue;
     std::ifstream in(entry.path());
     std::string magic;
-    in >> magic;
+    std::getline(in, magic);
     if (magic != "udao-traces-v1") {
       return Status::InvalidArgument("not a trace file: " +
                                      entry.path().string());
     }
+    // One name per line, as written: ids may contain spaces.
     std::string workload;
     std::string objective;
-    in >> workload >> objective;
+    std::getline(in, workload);
+    std::getline(in, objective);
     size_t rows = 0;
     size_t cols = 0;
     in >> rows >> cols;

@@ -21,12 +21,6 @@ struct MogdConfig {
   /// Uncertainty coefficient: objectives are replaced by
   /// E[F] + alpha * std[F] when alpha > 0 (Section IV-B.3).
   double alpha = 0.0;
-  /// Advance all multistarts in lockstep, evaluating every objective once
-  /// per Adam iteration over the whole [multistart, dim] batch (one GEMM for
-  /// DNN objectives, with the forward pass shared between values and
-  /// gradients). The scalar path (false) descends one start at a time; both
-  /// paths visit the same points and return the same solutions.
-  bool batched = true;
   /// Worker threads for SolveBatch (PF-AP sends l^k CO problems at once).
   /// Non-owning: the caller creates the pool once (Udao / PipelineOptimizer
   /// own one per instance) and may share it across solvers. Null runs the
@@ -40,12 +34,12 @@ struct MogdConfig {
 /// the numbers printed by tools/udao_cli.cc and bench_mogd_solver.
 struct SolvePerf {
   long long model_evals = 0;   ///< Point-evaluations of objective models.
-  long long batch_calls = 0;   ///< Model invocations issued (scalar call = 1).
+  long long batch_calls = 0;   ///< Batched model invocations issued.
   long long iterations = 0;    ///< Adam iterations executed (all starts).
   double eval_seconds = 0.0;   ///< Wall-clock inside model evaluation.
   double solve_seconds = 0.0;  ///< Wall-clock of the whole solve.
 
-  /// Mean points per model invocation; 1.0 for the scalar path.
+  /// Mean points per model invocation (multistart for a lone CO solve).
   double AvgBatch() const {
     return batch_calls > 0 ? static_cast<double>(model_evals) / batch_calls
                            : 0.0;
@@ -122,6 +116,10 @@ class CoBatchSolver {
 /// enforces that ordering directly -- candidates are tracked feasibility-
 /// first and ranked by the target value -- so P never needs a numeric value
 /// (it also has zero gradient and thus no effect on the descent itself).
+///
+/// All multistarts advance in lockstep: each Adam iteration evaluates every
+/// objective once over the whole [multistart, dim] batch (one GEMM for DNN
+/// objectives, with the forward pass shared between values and gradients).
 class MogdSolver {
  public:
   explicit MogdSolver(MogdConfig config = MogdConfig());
@@ -184,9 +182,6 @@ class MogdSolver {
   /// batch_calls counts each problem's logical batched calls (the physical
   /// fused call is shared by the group), and the shared evaluation wall time
   /// is split evenly across the problems that participated.
-  ///
-  /// Requires config().batched; callers with the scalar configuration should
-  /// fall back to per-problem SolveCoSeeded.
   std::vector<std::optional<CoResult>> SolveCoFused(
       const MooProblem& problem, const std::vector<const CoProblem*>& cos,
       const std::vector<uint64_t>& seeds,
@@ -194,22 +189,6 @@ class MogdSolver {
       std::vector<SolvePerf>* perfs) const;
 
  private:
-  // One start at a time; the original formulation.
-  std::optional<CoResult> SolveCoScalar(const MooProblem& problem,
-                                        const CoProblem& co, uint64_t seed,
-                                        SolvePerf* perf,
-                                        const StopToken& stop) const;
-  // All starts in lockstep, batched model evaluation. Visits exactly the
-  // points the scalar path visits (same seeds) and keeps the same best.
-  std::optional<CoResult> SolveCoBatched(const MooProblem& problem,
-                                         const CoProblem& co, uint64_t seed,
-                                         SolvePerf* perf,
-                                         const StopToken& stop) const;
-  CoResult MinimizeScalar(const MooProblem& problem, int target,
-                          SolvePerf* perf, const StopToken& stop) const;
-  CoResult MinimizeBatched(const MooProblem& problem, int target,
-                           SolvePerf* perf, const StopToken& stop) const;
-
   MogdConfig config_;
 };
 

@@ -115,9 +115,8 @@ std::vector<std::optional<CoResult>> SolveCoalescer::SolveBatch(
     const MooProblem& problem, const std::vector<CoProblem>& problems,
     SolvePerf* perf, const StopToken& stop) {
   if (problems.empty()) return {};
-  // Inline (non-coalesced) service for the scalar-descent configuration,
-  // which has no fused path, and for submissions racing shutdown.
-  bool inline_solve = !config_.mogd.batched;
+  // Submissions racing shutdown are served inline (not coalesced).
+  bool inline_solve = false;
 
   Submission sub;
   sub.problem = &problem;
@@ -128,7 +127,7 @@ std::vector<std::optional<CoResult>> SolveCoalescer::SolveBatch(
   sub.remaining = static_cast<int>(problems.size());
   {
     MutexLock lock(mu_);
-    if (inline_solve || shutdown_) {
+    if (shutdown_) {
       inline_solve = true;
       ++stats_.inline_fallbacks;
     } else {

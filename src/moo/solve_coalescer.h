@@ -130,7 +130,8 @@ class SolveCoalescer : public CoBatchSolver {
     long long fused_chunks = 0;     ///< SolveCoFused calls dispatched.
     long long fused_problems = 0;   ///< Problems that shared a chunk with a
                                     ///< problem of ANOTHER submission.
-    long long inline_fallbacks = 0; ///< SolveBatch calls served inline.
+    long long inline_fallbacks = 0; ///< SolveBatch calls served inline
+                                    ///< because they raced shutdown.
     long long dedup_hits = 0;       ///< Problems served by joining an
                                     ///< identical in-flight representative
                                     ///< (singleflight, same or later window).

@@ -31,6 +31,24 @@ void EmitShardCounter(const std::string& name) {
 #endif
 }
 
+// Takes one admission-queue slot unless `max_depth` (> 0) are already
+// taken. The compare-exchange makes check and take one step, so concurrent
+// submitters can never admit past the bound.
+bool TryReserveSlot(std::atomic<int>* depth, int max_depth) {
+  if (max_depth <= 0) {
+    depth->fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
+  int seen = depth->load(std::memory_order_relaxed);
+  while (seen < max_depth) {
+    if (depth->compare_exchange_weak(seen, seen + 1,
+                                     std::memory_order_relaxed)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 /// Shared result slot behind every copy of one ticket. The service-side
@@ -104,7 +122,7 @@ UdaoService::UdaoService(ModelServer* server, UdaoServiceConfig config)
   // The coalescer shares the solver's exact MogdConfig (seed, iterations,
   // pool) -- the bitwise-determinism contract -- and the PF instances built
   // per request route their CO subproblems through it via pf_config_.
-  if (config_.coalesce_solves && udao_.options().pf.mogd.batched) {
+  if (config_.coalesce_solves) {
     SolveCoalescerConfig cc;
     cc.max_batch = config_.coalesce_max_batch;
     cc.max_wait_us = config_.coalesce_max_wait_us;
@@ -404,7 +422,15 @@ StatusOr<UdaoRecommendation> UdaoService::Handle(const UdaoRequest& request,
       // share fused descents with concurrent requests' (bitwise-identical
       // results either way).
       ProgressiveFrontier pf(owned_problem.get(), pf_config_);
-      *owned_frontier = pf.Run(udao_.options().frontier_points, stop);
+      // Leave room in the budget for the re-rank below (rank_ms_).
+      StopToken solve_stop = stop;
+      if (request.options.deadline.has_deadline()) {
+        solve_stop = StopToken(
+            Deadline::AfterMs(request.options.deadline.RemainingMs() -
+                              rank_ms_.load(std::memory_order_relaxed)),
+            request.options.cancel);
+      }
+      *owned_frontier = pf.Run(udao_.options().frontier_points, solve_stop);
     }
     problem = owned_problem;
     frontier = owned_frontier;
@@ -500,8 +526,10 @@ StatusOr<UdaoRecommendation> UdaoService::Handle(const UdaoRequest& request,
       ranked = memo->base_ranked;
     }
     if (ranked == nullptr) {
+      const auto r0 = std::chrono::steady_clock::now();
       ranked = std::make_shared<const std::vector<MooPoint>>(
           udao_.ConservativeRank(*problem, frontier->frontier));
+      rank_ms_.store(NowMs(r0), std::memory_order_relaxed);
       if (memo != nullptr) {
         MutexLock lock(memo->mu);
         memo->base_ranked = ranked;
@@ -579,12 +607,10 @@ void UdaoService::SubmitInternal(const UdaoRequest& request, Callback done) {
       request.options.shed_policy.value_or(config_.shed_policy);
 
   // Overload control: bound the backlog, shed per policy (the request's own
-  // override wins over the service default). kDegrade admits (flagged); the
-  // other policies answer on the calling thread right here.
+  // override wins over the service default). kDegrade admits (flagged) past
+  // the bound; the other policies answer on the calling thread right here.
   bool degrade_admission = false;
-  if (config_.max_queue_depth > 0 &&
-      queue_depth_.load(std::memory_order_relaxed) >=
-          config_.max_queue_depth) {
+  if (!TryReserveSlot(&queue_depth_, config_.max_queue_depth)) {
     sheds_.fetch_add(1, std::memory_order_relaxed);
     if (emit) UDAO_METRIC_COUNTER_ADD("udao.service.sheds", 1);
     switch (shed) {
@@ -608,11 +634,11 @@ void UdaoService::SubmitInternal(const UdaoRequest& request, Callback done) {
       }
       case ShedPolicy::kDegrade:
         degrade_admission = true;
+        queue_depth_.fetch_add(1, std::memory_order_relaxed);
         break;
     }
   }
 
-  queue_depth_.fetch_add(1, std::memory_order_relaxed);
   UDAO_METRIC_GAUGE_SET(
       "udao.service.queue_depth",
       static_cast<double>(queue_depth_.load(std::memory_order_relaxed)));

@@ -51,7 +51,6 @@ struct UdaoServiceConfig {
   /// asking for frontiers drive a few big GEMM streams instead of N small
   /// interleaved ones. Results stay bitwise-identical to solo solves; the
   /// only cost is up to coalesce_max_wait_us added latency per solve round.
-  /// Ignored (no coalescer built) when the solver config is not batched.
   bool coalesce_solves = true;
   int coalesce_max_batch = 32;
   double coalesce_max_wait_us = 200.0;
@@ -60,10 +59,9 @@ struct UdaoServiceConfig {
   /// shared; see SolveCoalescerConfig::memo_capacity). 0 disables it.
   int coalesce_memo_capacity = 512;
   /// Overload bound: requests queued or running before shedding starts.
-  /// <= 0 means unbounded (the pre-overload-control behavior). The bound is
-  /// approximate under concurrency (check-then-admit is not atomic), which
-  /// is fine: it exists to keep the backlog from growing without limit, not
-  /// to enforce an exact count.
+  /// <= 0 means unbounded (the pre-overload-control behavior). Slots are
+  /// reserved atomically, so under kReject / kServeStaleCache at most this
+  /// many requests are ever admitted at once; kDegrade admits past it.
   int max_queue_depth = 0;
   /// Default shed policy; a request may override it for itself via
   /// UdaoRequest::options.shed_policy.
@@ -152,7 +150,7 @@ class RequestTicket {
 ///    stays bounded.
 ///  - Solve coalescing: the MOGD subproblems of concurrently admitted
 ///    requests are funneled through one SolveCoalescer, which fuses
-///    same-shaped problems from different requests into shared batched
+///    same-shaped problems from different requests into shared
 ///    descents (one GEMM stream for the window instead of one per request)
 ///    without changing any request's results bitwise.
 ///  - Frontier caching: step 2 (Progressive Frontier) dominates end-to-end
@@ -386,10 +384,9 @@ class UdaoService {
   /// (the canonical SolverOptions byte serialization).
   std::string options_fingerprint_;
 
-  /// Cross-request solve coalescer (null when coalescing is off or the
-  /// solver config is not batched). Declared after udao_ so it is destroyed
-  /// FIRST: its destructor waits out fused chunks running on udao_'s solver
-  /// pool, which must still be alive at that point.
+  /// Cross-request solve coalescer (null when coalescing is off). Declared
+  /// after udao_ so it is destroyed FIRST: its destructor waits out fused
+  /// chunks running on udao_'s solver pool, which must still be alive then.
   std::unique_ptr<SolveCoalescer> coalescer_;
   /// udao_.options().pf with co_solver pointed at coalescer_; what Handle
   /// actually constructs ProgressiveFrontier with. co_solver is excluded
@@ -419,6 +416,10 @@ class UdaoService {
   std::atomic<long long> deadline_exceeded_{0};
   /// Requests admitted but not yet answered (queued + running).
   std::atomic<int> queue_depth_{0};
+  /// Wall time of the most recent conservative re-rank of a fresh frontier.
+  /// A deadline covers the whole response, and that re-rank runs after the
+  /// solve stops, so deadline-bound solves stop this much early.
+  std::atomic<double> rank_ms_{0.0};
 
   /// MUST be the last member: ~ThreadPool drains queued/in-flight Handle
   /// tasks, which touch the coalescer, the cache shards, and the counters

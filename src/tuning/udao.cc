@@ -21,7 +21,6 @@ void SolverOptions::AppendFingerprint(std::string* out) const {
   AppendPod(out, pf.mogd.max_iters);
   AppendPod(out, pf.mogd.learning_rate);
   AppendPod(out, pf.mogd.alpha);
-  AppendPod(out, pf.mogd.batched);
   AppendPod(out, pf.mogd.seed);
   AppendPod(out, frontier_points);
   AppendPod(out, workload_aware);

@@ -1,9 +1,9 @@
 // Equivalence of the batched model-inference surface with the scalar one:
 // PredictBatch / GradientBatch / PredictWithUncertaintyBatch must reproduce
 // the per-point entry points exactly for every ObjectiveModel subclass, and
-// the solvers built on top (MOGD lockstep multistarts, SolveBatch on a
-// thread pool) must return identical solutions regardless of batching mode,
-// thread count, or repetition.
+// the solvers built on top must return identical solutions regardless of
+// thread count or repetition. MOGD's lockstep multistarts must match the
+// one-start-at-a-time reference in mogd_reference.h bitwise.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -17,6 +17,7 @@
 #include "moo/mogd.h"
 #include "moo/problem.h"
 #include "moo/progressive_frontier.h"
+#include "mogd_reference.h"
 #include "test_problems.h"
 
 namespace udao {
@@ -24,6 +25,8 @@ namespace {
 
 using testing_problems::ConvexProblem;
 using testing_problems::UnitSpace2;
+using testing_reference::ReferenceMinimize;
+using testing_reference::ReferenceSolveCo;
 
 Matrix RandomPoints(int n, int dim, uint64_t seed) {
   Rng rng(seed);
@@ -212,45 +215,91 @@ CoProblem CenterBox(const MooProblem& problem) {
   return co;
 }
 
-TEST(BatchEvalTest, MogdBatchedMatchesScalarSolutions) {
-  std::shared_ptr<MlpModel> keep;
-  MooProblem dnn = DnnProblem(&keep);
-  for (const MooProblem* problem : {&dnn}) {
-    MogdConfig batched = SmallConfig();
-    batched.batched = true;
-    MogdConfig scalar = SmallConfig();
-    scalar.batched = false;
+// A GP-backed bi-objective problem over UnitSpace2: the GP latency rises
+// with x0 while the callable cost falls with it, so the two conflict.
+MooProblem GpProblem(std::shared_ptr<GpModel>* keep_alive) {
+  *keep_alive = FitTinyGp(2, false);
+  auto cost = std::make_shared<CallableModel>(
+      "cost", 2,
+      [](const Vector& x) { return (1.0 - x[0]) * (1.0 - x[0]) + 0.3 * x[1]; },
+      [](const Vector& x) { return Vector{-2.0 * (1.0 - x[0]), 0.3}; });
+  return MooProblem(&UnitSpace2(),
+                    {ObjectiveSpec{"gp_lat", *keep_alive},
+                     ObjectiveSpec{"cost", cost}});
+}
 
-    const CoProblem co = CenterBox(*problem);
-    auto r_batched = MogdSolver(batched).SolveCo(*problem, co);
-    auto r_scalar = MogdSolver(scalar).SolveCo(*problem, co);
-    ASSERT_EQ(r_batched.has_value(), r_scalar.has_value());
-    if (r_batched.has_value()) {
-      EXPECT_EQ(r_batched->x, r_scalar->x);
-      EXPECT_EQ(r_batched->target_value, r_scalar->target_value);
-      EXPECT_EQ(r_batched->objectives, r_scalar->objectives);
-    }
+// Asserts MogdSolver reproduces the one-start-at-a-time reference
+// (tests/mogd_reference.h) bitwise on `co` and on every objective's
+// unconstrained minimization.
+void ExpectMogdMatchesReference(const MooProblem& problem, const CoProblem& co,
+                                const MogdConfig& cfg) {
+  const MogdSolver solver(cfg);
+  const auto got = solver.SolveCo(problem, co);
+  const auto want = ReferenceSolveCo(problem, co, cfg);
+  ASSERT_TRUE(want.has_value()) << "the case must have a feasible solution";
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->x, want->x);
+  EXPECT_EQ(got->raw, want->raw);
+  EXPECT_EQ(got->target_value, want->target_value);
+  EXPECT_EQ(got->objectives, want->objectives);
 
-    for (int target : {0, 1}) {
-      CoResult m_batched = MogdSolver(batched).Minimize(*problem, target);
-      CoResult m_scalar = MogdSolver(scalar).Minimize(*problem, target);
-      EXPECT_EQ(m_batched.x, m_scalar.x) << "target " << target;
-      EXPECT_EQ(m_batched.target_value, m_scalar.target_value)
-          << "target " << target;
-    }
+  for (int target = 0; target < problem.NumObjectives(); ++target) {
+    const CoResult m_got = solver.Minimize(problem, target);
+    const CoResult m_want = ReferenceMinimize(problem, target, cfg);
+    EXPECT_EQ(m_got.x, m_want.x) << "target " << target;
+    EXPECT_EQ(m_got.target_value, m_want.target_value) << "target " << target;
+    EXPECT_EQ(m_got.objectives, m_want.objectives) << "target " << target;
   }
-  // Same equivalence on the callable convex problem (default batch loops).
-  MooProblem convex = ConvexProblem();
-  MogdConfig batched = SmallConfig();
-  MogdConfig scalar = SmallConfig();
-  scalar.batched = false;
-  const CoProblem co = CenterBox(convex);
-  auto r_batched = MogdSolver(batched).SolveCo(convex, co);
-  auto r_scalar = MogdSolver(scalar).SolveCo(convex, co);
-  ASSERT_EQ(r_batched.has_value(), r_scalar.has_value());
-  if (r_batched.has_value()) {
-    EXPECT_EQ(r_batched->x, r_scalar->x);
-    EXPECT_EQ(r_batched->target_value, r_scalar->target_value);
+}
+
+// CenterBox plus a binding linear constraint a . F <= b with a = (0.5, 1):
+// b sits halfway between the box solution (which violates it) and the
+// objective-1 anchor (which satisfies it).
+CoProblem WithBindingLinear(const MooProblem& problem, const CoProblem& box) {
+  const MogdSolver solver(SmallConfig());
+  const auto unconstrained = solver.SolveCo(problem, box);
+  if (!unconstrained.has_value()) {
+    ADD_FAILURE() << "the box solve must be feasible";
+    return box;
+  }
+  const CoResult anchor = solver.Minimize(problem, 1);
+  CoProblem co = box;
+  const Vector normal{0.5, 1.0};
+  const double violated = Dot(normal, unconstrained->objectives);
+  const double satisfied = Dot(normal, anchor.objectives);
+  EXPECT_LT(satisfied, violated);
+  co.linear.push_back({normal, 0.5 * (violated + satisfied)});
+  return co;
+}
+
+TEST(BatchEvalTest, MogdMatchesReferenceSolutions) {
+  std::shared_ptr<MlpModel> mlp;
+  const MooProblem dnn = DnnProblem(&mlp);
+  std::shared_ptr<GpModel> gp;
+  const MooProblem gp_problem = GpProblem(&gp);
+  const MooProblem convex = ConvexProblem();
+
+  for (const MooProblem* problem : {&dnn, &gp_problem, &convex}) {
+    SCOPED_TRACE(problem->objective(0).name + "/" +
+                 problem->objective(1).name);
+    const CoProblem box = CenterBox(*problem);
+    ExpectMogdMatchesReference(*problem, box, SmallConfig());
+
+    // Uncertainty-adjusted values (MC dropout / GP posterior std): the
+    // descent follows the mean's gradient, the ranking the adjusted values.
+    MogdConfig conservative = SmallConfig();
+    conservative.alpha = 0.5;
+    ExpectMogdMatchesReference(*problem, box, conservative);
+  }
+
+  // Linear objective-space constraints on the problems whose objectives
+  // conflict (the DNN problem's two objectives share one minimizer).
+  for (const MooProblem* problem : {&gp_problem, &convex}) {
+    SCOPED_TRACE(problem->objective(0).name + "/" +
+                 problem->objective(1).name + " linear");
+    ExpectMogdMatchesReference(
+        *problem, WithBindingLinear(*problem, CenterBox(*problem)),
+        SmallConfig());
   }
 }
 

@@ -146,6 +146,20 @@ TEST_F(CheckpointTest, ModelServerDataRoundTrips) {
   }
 }
 
+TEST_F(CheckpointTest, ModelServerDataKeepsNamesWithSpaces) {
+  ModelServer original;
+  for (int i = 0; i < 3; ++i) {
+    original.Ingest("tpcx bb", "cpu hours", {0.25 * i, 0.5}, 1.0 + i);
+  }
+  ASSERT_TRUE(SaveModelServerData(original, {"tpcx bb"}, {"cpu hours"},
+                                  dir_.string())
+                  .ok());
+  ModelServer restored;
+  const Status loaded = LoadModelServerData(dir_.string(), &restored);
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  EXPECT_EQ(restored.NumTraces("tpcx bb", "cpu hours"), 3);
+}
+
 TEST_F(CheckpointTest, LoadFromMissingDirectoryFails) {
   ModelServer server;
   EXPECT_FALSE(LoadModelServerData(Path("nope"), &server).ok());

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/deadline.h"
+#include "common/fault_injector.h"
 #include "common/metrics_registry.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
@@ -407,6 +408,69 @@ TEST(RaceStressTest, ServiceDestructionWithInflightRequests) {
     }
     EXPECT_EQ(delivered.load(), kRequests);
   }
+}
+
+// Admission bound under a submission burst: the admitted requests stall in
+// their first PF probe (injected latency far longer than the burst), so no
+// slot frees up while a few threads submit at once. Every submission past
+// max_queue_depth must be shed -- the depth check and the slot reservation
+// are one atomic step, so racing submitters cannot all slip past the check.
+TEST(RaceStressTest, AdmissionBoundHoldsUnderSubmissionBurst) {
+  ModelServer server;
+  UdaoServiceConfig cfg;
+  cfg.udao.pf.mogd.multistart = 2;
+  cfg.udao.pf.mogd.max_iters = 20;
+  cfg.udao.solver_threads = 2;
+  cfg.udao.frontier_points = 4;
+  cfg.admission_threads = 2;
+  cfg.frontier_cache_capacity = 0;  // admitted requests really solve
+  cfg.max_queue_depth = 3;
+  cfg.shed_policy = ShedPolicy::kReject;
+
+  const MooProblem problem = testing_problems::ConvexProblem();
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 8;
+  std::vector<RequestTicket> tickets(kThreads * kPerThread);
+  FaultInjector::Global().Reset();
+  // One stall per admission thread: both running requests sleep while the
+  // third admitted one waits in the queue.
+  FaultInjector::Global().DelayNext("pf.probe", 500.0, cfg.admission_threads);
+  {
+    UdaoService service(&server, cfg);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < kThreads; ++t) {
+      submitters.emplace_back([&, t] {
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        for (int i = 0; i < kPerThread; ++i) {
+          UdaoRequest request;
+          request.workload_id = "w";
+          request.space = &testing_problems::UnitSpace2();
+          request.objectives = {problem.objective(0), problem.objective(1)};
+          tickets[t * kPerThread + i] = service.Submit(request);
+        }
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (std::thread& s : submitters) s.join();
+    EXPECT_LE(service.QueueDepth(), cfg.max_queue_depth);
+  }  // destructor drains the admitted requests
+  FaultInjector::Global().Reset();
+
+  int admitted = 0;
+  int shed = 0;
+  for (RequestTicket& ticket : tickets) {
+    const StatusOr<UdaoRecommendation> r = ticket.Wait();
+    if (!r.ok() && r.status().code() == StatusCode::kUnavailable) {
+      ++shed;
+    } else {
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      ++admitted;
+    }
+  }
+  EXPECT_LE(admitted, cfg.max_queue_depth);
+  EXPECT_GE(admitted, 1);
+  EXPECT_EQ(admitted + shed, kThreads * kPerThread);
 }
 
 // Cancellation racing completion: a batch of async requests shares one
