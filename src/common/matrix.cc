@@ -52,22 +52,6 @@ Matrix Matrix::Multiply(const Matrix& other) const {
   return out;
 }
 
-Matrix Matrix::MultiplyTransposed(const Matrix& other) const {
-  UDAO_CHECK_EQ(cols_, other.cols_);
-  Matrix out(rows_, other.rows_);
-  const kernels::KernelTable* t = kernels::ActiveTable();
-  for (int i = 0; i < rows_; ++i) {
-    const double* a_row = RowPtr(i);
-    double* out_row = out.RowPtr(i);
-    for (int j = 0; j < other.rows_; ++j) {
-      const double* b_row = other.RowPtr(j);
-      out_row[j] = cols_ == 128 ? t->dot128(a_row, b_row)
-                                : t->dot(a_row, b_row, cols_);
-    }
-  }
-  return out;
-}
-
 Vector Matrix::Apply(const Vector& v) const {
   UDAO_CHECK_EQ(static_cast<int>(v.size()), cols_);
   Vector out(rows_, 0.0);

@@ -64,10 +64,6 @@ class Matrix {
 
   Matrix Transpose() const;
   Matrix Multiply(const Matrix& other) const;
-  /// Product with the transpose, A*B^T. Both operands are walked row-wise
-  /// (contiguously), making this the cache-friendly kernel for batched MLP
-  /// forward passes where B holds weights as [fan_out, fan_in] rows.
-  Matrix MultiplyTransposed(const Matrix& other) const;
   /// Matrix-vector product A*v.
   Vector Apply(const Vector& v) const;
   /// Transposed matrix-vector product A^T * v.

@@ -2,7 +2,11 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <functional>
+#include <map>
+#include <ostream>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 
@@ -24,14 +28,76 @@ std::string Sanitize(const std::string& name) {
   return out;
 }
 
+// Writes `path` through `<path>.tmp` and a rename, so a crash or a failed
+// write never leaves a torn file where the previous one stood.
+Status WriteFileAtomically(const fs::path& path,
+                           const std::function<void(std::ostream&)>& write) {
+  const fs::path tmp = path.string() + ".tmp";
+  std::ofstream out(tmp);
+  if (!out) return Status::InvalidArgument("cannot open " + tmp.string());
+  write(out);
+  out.close();
+  std::error_code ec;
+  if (!out) {
+    fs::remove(tmp, ec);
+    return Status::InvalidArgument("write failed: " + tmp.string());
+  }
+  fs::rename(tmp, path, ec);
+  if (ec) {
+    std::error_code ignored;
+    fs::remove(tmp, ignored);
+    return Status::InvalidArgument("cannot rename " + tmp.string() + ": " +
+                                   ec.message());
+  }
+  return Status::Ok();
+}
+
+// One parsed .traces file, staged until every file has parsed.
+struct StagedTraces {
+  std::string file;
+  std::string workload;
+  std::string objective;
+  size_t cols = 0;
+  std::vector<Vector> x;
+  Vector y;
+};
+
+StatusOr<StagedTraces> ParseTraceFile(const fs::path& path) {
+  StagedTraces staged;
+  staged.file = path.string();
+  std::ifstream in(path);
+  std::string magic;
+  std::getline(in, magic);
+  if (magic != "udao-traces-v1") {
+    return Status::InvalidArgument("not a trace file: " + staged.file);
+  }
+  // One name per line, as written: ids may contain spaces.
+  std::getline(in, staged.workload);
+  std::getline(in, staged.objective);
+  size_t rows = 0;
+  in >> rows >> staged.cols;
+  if (!in || staged.cols == 0 || staged.cols > 4096 || rows > (1u << 22)) {
+    return Status::InvalidArgument("corrupt trace file: " + staged.file);
+  }
+  for (size_t r = 0; r < rows; ++r) {
+    Vector x(staged.cols);
+    for (double& v : x) in >> v;
+    double y = 0.0;
+    in >> y;
+    if (!in) {
+      return Status::InvalidArgument("truncated trace file: " + staged.file);
+    }
+    staged.x.push_back(std::move(x));
+    staged.y.push_back(y);
+  }
+  return staged;
+}
+
 }  // namespace
 
 Status SaveMlpModel(const MlpModel& model, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::InvalidArgument("cannot open " + path);
-  model.SerializeTo(out);
-  if (!out) return Status::InvalidArgument("write failed: " + path);
-  return Status::Ok();
+  return WriteFileAtomically(
+      path, [&model](std::ostream& out) { model.SerializeTo(out); });
 }
 
 StatusOr<std::shared_ptr<MlpModel>> LoadMlpModel(const std::string& path) {
@@ -41,11 +107,8 @@ StatusOr<std::shared_ptr<MlpModel>> LoadMlpModel(const std::string& path) {
 }
 
 Status SaveGpModel(const GpModel& model, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::InvalidArgument("cannot open " + path);
-  model.SerializeTo(out);
-  if (!out) return Status::InvalidArgument("write failed: " + path);
-  return Status::Ok();
+  return WriteFileAtomically(
+      path, [&model](std::ostream& out) { model.SerializeTo(out); });
 }
 
 StatusOr<std::shared_ptr<GpModel>> LoadGpModel(const std::string& path) {
@@ -70,18 +133,18 @@ Status SaveModelServerData(const ModelServer& server,
                                                    "__" +
                                                    Sanitize(objective) +
                                                    ".traces");
-      std::ofstream out(path);
-      if (!out) return Status::InvalidArgument("cannot open " + path.string());
-      out << "udao-traces-v1\n";
-      out << workload << '\n' << objective << '\n';
-      out << data->x.size() << ' '
-          << (data->x.empty() ? 0 : data->x.front().size()) << '\n';
-      out.precision(17);
-      for (size_t i = 0; i < data->x.size(); ++i) {
-        for (double v : data->x[i]) out << v << ' ';
-        out << data->y[i] << '\n';
-      }
-      if (!out) return Status::InvalidArgument("write failed");
+      Status written = WriteFileAtomically(path, [&](std::ostream& out) {
+        out << "udao-traces-v1\n";
+        out << workload << '\n' << objective << '\n';
+        out << data->x.size() << ' '
+            << (data->x.empty() ? 0 : data->x.front().size()) << '\n';
+        out.precision(17);
+        for (size_t i = 0; i < data->x.size(); ++i) {
+          for (double v : data->x[i]) out << v << ' ';
+          out << data->y[i] << '\n';
+        }
+      });
+      if (!written.ok()) return written;
     }
   }
   return Status::Ok();
@@ -93,42 +156,42 @@ Status LoadModelServerData(const std::string& directory, ModelServer* server) {
   if (!fs::is_directory(directory, ec)) {
     return Status::NotFound("no such directory: " + directory);
   }
+  // All or nothing: every file parses and agrees on its dimension with the
+  // resident traces and the other staged files before any row is ingested,
+  // so a failed load leaves the server untouched.
+  std::vector<StagedTraces> staged;
+  std::map<std::pair<std::string, std::string>, size_t> dims;
   for (const fs::directory_entry& entry : fs::directory_iterator(directory)) {
     if (entry.path().extension() != ".traces") continue;
-    std::ifstream in(entry.path());
-    std::string magic;
-    std::getline(in, magic);
-    if (magic != "udao-traces-v1") {
-      return Status::InvalidArgument("not a trace file: " +
-                                     entry.path().string());
+    StatusOr<StagedTraces> parsed = ParseTraceFile(entry.path());
+    if (!parsed.ok()) return parsed.status();
+    const std::pair<std::string, std::string> key(parsed->workload,
+                                                  parsed->objective);
+    auto known = dims.find(key);
+    if (known == dims.end()) {
+      StatusOr<ModelServer::DataSet> resident =
+          server->GetData(key.first, key.second);
+      const bool has_rows = resident.ok() && !resident->x.empty();
+      known = dims.emplace(key, has_rows ? resident->x.front().size()
+                                         : parsed->cols)
+                  .first;
     }
-    // One name per line, as written: ids may contain spaces.
-    std::string workload;
-    std::string objective;
-    std::getline(in, workload);
-    std::getline(in, objective);
-    size_t rows = 0;
-    size_t cols = 0;
-    in >> rows >> cols;
-    if (!in || cols == 0 || cols > 4096 || rows > (1u << 22)) {
-      return Status::InvalidArgument("corrupt trace file: " +
-                                     entry.path().string());
+    if (known->second != parsed->cols) {
+      return Status::InvalidArgument(
+          "dimension mismatch in " + parsed->file + ": " +
+          std::to_string(parsed->cols) + " columns, expected " +
+          std::to_string(known->second));
     }
-    for (size_t r = 0; r < rows; ++r) {
-      Vector x(cols);
-      for (double& v : x) in >> v;
-      double y = 0.0;
-      in >> y;
-      if (!in) {
-        return Status::InvalidArgument("truncated trace file: " +
-                                       entry.path().string());
-      }
-      if (Status s = server->Ingest(workload, objective, x, y); !s.ok()) {
-        // A dimension clash between the file and already-resident traces is
-        // corrupt input, not a programming error.
-        return Status::InvalidArgument("rejected trace in " +
-                                       entry.path().string() + ": " +
-                                       s.ToString());
+    staged.push_back(std::move(*parsed));
+  }
+  for (const StagedTraces& file : staged) {
+    for (size_t r = 0; r < file.x.size(); ++r) {
+      if (Status s = server->Ingest(file.workload, file.objective, file.x[r],
+                                    file.y[r]);
+          !s.ok()) {
+        // Only a concurrent Ingest of another dimension can get here.
+        return Status::InvalidArgument("rejected trace in " + file.file +
+                                       ": " + s.ToString());
       }
     }
   }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <istream>
 #include <ostream>
+#include <string>
 
 #include "common/check.h"
 #include "common/metrics_registry.h"
@@ -88,48 +89,11 @@ std::shared_ptr<MlpModel> MlpModel::Clone() const {
       new MlpModel(config_, std::make_unique<Mlp>(*mlp_), y_mean_, y_std_));
 }
 
-double MlpModel::Predict(const Vector& x) const {
-  return FromTarget(mlp_->Predict(x) * y_std_ + y_mean_);
-}
-
-void MlpModel::PredictWithUncertainty(const Vector& x, double* mean,
-                                      double* stddev) const {
-  if (config_.dropout <= 0.0 || config_.mc_samples < 2) {
-    *mean = Predict(x);
-    *stddev = 0.0;
-    return;
-  }
-  Rng rng(SeedFromPoint(x));
-  double zm = 0.0;
-  double zs = 0.0;
-  mlp_->PredictWithUncertainty(x, config_.mc_samples, &rng, &zm, &zs);
-  const double t_mean = zm * y_std_ + y_mean_;
-  const double t_std = zs * y_std_;
-  if (config_.log_transform_targets) {
-    // Delta method around the log-space mean.
-    *mean = std::exp(t_mean);
-    *stddev = *mean * t_std;
-  } else {
-    *mean = t_mean;
-    *stddev = t_std;
-  }
-}
-
-Vector MlpModel::InputGradient(const Vector& x) const {
-  Vector grad = mlp_->InputGradient(x);
-  double scale = y_std_;
-  if (config_.log_transform_targets) {
-    // d exp(t(x)) / dx = exp(t(x)) * dt/dx.
-    scale *= FromTarget(mlp_->Predict(x) * y_std_ + y_mean_);
-  }
-  for (double& g : grad) g *= scale;
-  return grad;
-}
-
 void MlpModel::PredictBatch(const Matrix& x, Vector* out) const {
   // Batched entry points are the GEMM fast path MOGD's lockstep descent
   // lives on; the batch-size histogram is how bench reports show whether
-  // batching is actually engaged (avg batch >> 1) or degenerated to scalar.
+  // batching is actually engaged (avg batch >> 1) or degenerated to one-row
+  // wrapper calls.
   // batch_calls is not a separate counter -- it is the histogram's count,
   // and these sites run hot enough that every registry op shows up in the
   // bench_mogd_solver overhead budget.
@@ -228,35 +192,58 @@ StatusOr<std::shared_ptr<MlpModel>> MlpModel::Deserialize(std::istream& in) {
   if (!in || num_sizes < 2 || num_sizes > 64) {
     return Status::InvalidArgument("corrupt MLP checkpoint header");
   }
+  // Validate the whole header before anything is sized from it: a size of
+  // 0 would abort inside Mlp, and an unknown activation code would build a
+  // silently wrong net.
+  constexpr int kMaxLayerWidth = 1 << 20;
+  constexpr size_t kMaxWeights = size_t{1} << 26;
   MlpConfig net;
   net.layer_sizes.resize(num_sizes);
-  for (size_t i = 0; i < num_sizes; ++i) in >> net.layer_sizes[i];
+  for (int& size : net.layer_sizes) in >> size;
   MlpModelConfig cfg;
   int activation = 0;
   int log_flag = 0;
   in >> activation >> cfg.l2 >> cfg.dropout >> cfg.mc_samples >> log_flag;
+  double y_mean = 0.0;
+  double y_std = 1.0;
+  in >> y_mean >> y_std;
+  size_t num_weights = 0;
+  in >> num_weights;
+  if (!in) return Status::InvalidArgument("corrupt MLP checkpoint header");
+  size_t expected_weights = 0;
+  for (size_t i = 0; i < num_sizes; ++i) {
+    const int size = net.layer_sizes[i];
+    if (size < 1 || size > kMaxLayerWidth) {
+      return Status::InvalidArgument("MLP checkpoint layer size " +
+                                     std::to_string(size) + " out of range");
+    }
+    if (i > 0) {
+      const size_t fan_in = static_cast<size_t>(net.layer_sizes[i - 1]);
+      expected_weights += (fan_in + 1) * static_cast<size_t>(size);
+    }
+  }
+  if (activation != static_cast<int>(Activation::kRelu) &&
+      activation != static_cast<int>(Activation::kTanh)) {
+    return Status::InvalidArgument("MLP checkpoint activation " +
+                                   std::to_string(activation) + " unknown");
+  }
+  if (!(cfg.dropout >= 0.0 && cfg.dropout < 1.0) || cfg.mc_samples < 1) {
+    return Status::InvalidArgument("MLP checkpoint dropout settings invalid");
+  }
+  if (num_weights != expected_weights || num_weights > kMaxWeights) {
+    return Status::InvalidArgument("MLP checkpoint weight count mismatch");
+  }
   cfg.activation = static_cast<Activation>(activation);
   cfg.log_transform_targets = log_flag != 0;
   cfg.hidden.assign(net.layer_sizes.begin() + 1, net.layer_sizes.end() - 1);
   net.activation = cfg.activation;
   net.l2 = cfg.l2;
   net.dropout = cfg.dropout;
-  double y_mean = 0.0;
-  double y_std = 1.0;
-  in >> y_mean >> y_std;
-  size_t num_weights = 0;
-  in >> num_weights;
-  if (!in || num_weights > (1u << 26)) {
-    return Status::InvalidArgument("corrupt MLP checkpoint body");
-  }
   Vector snapshot(num_weights);
   for (double& w : snapshot) in >> w;
   if (!in) return Status::InvalidArgument("truncated MLP checkpoint");
   Rng rng(0);
   auto mlp = std::make_unique<Mlp>(net, &rng);
-  if (mlp->Snapshot().size() != snapshot.size()) {
-    return Status::InvalidArgument("MLP checkpoint weight count mismatch");
-  }
   mlp->Restore(snapshot);
   return std::shared_ptr<MlpModel>(
       new MlpModel(cfg, std::move(mlp), y_mean, y_std));

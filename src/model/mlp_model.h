@@ -29,8 +29,8 @@ struct MlpModelConfig {
 /// DNN objective model (modeling option 2 in Section II-B): an Mlp trained on
 /// runtime traces, with target standardization, analytic input gradients for
 /// MOGD, and MC-dropout predictive uncertainty. Uncertainty sampling is
-/// seeded from the query point, making Predict* deterministic and
-/// thread-safe.
+/// seeded from each query row, making Predict* deterministic, thread-safe
+/// and independent of the batch a point arrives in.
 class MlpModel : public ObjectiveModel {
  public:
   /// Trains a fresh model on rows of `x` against targets `y`.
@@ -47,15 +47,11 @@ class MlpModel : public ObjectiveModel {
   /// clone and swaps it in, so previously served handles stay immutable.
   std::shared_ptr<MlpModel> Clone() const;
 
-  double Predict(const Vector& x) const override;
-  void PredictWithUncertainty(const Vector& x, double* mean,
-                              double* stddev) const override;
-  Vector InputGradient(const Vector& x) const override;
-  // Batched inference rides the GEMM forward/backward in nn/mlp.cc; MOGD's
-  // lockstep multistart loop enters here. Batched MC-dropout keeps the
-  // per-point seed contract (row r is seeded from row r's coordinates) while
-  // running each stochastic pass as one fused kernel over all rows, so it is
-  // bitwise-interchangeable with the scalar PredictWithUncertainty per row.
+  // Inference rides the GEMM forward/backward in nn/mlp.cc; MOGD's lockstep
+  // multistart loop enters here. MC-dropout seeds row r from row r's
+  // coordinates while running each stochastic pass as one fused kernel over
+  // all rows. Every call, one-row wrappers included, adds its rows to
+  // udao.model.mlp.batch_evals and observes udao.model.mlp.batch_size.
   void PredictBatch(const Matrix& x, Vector* out) const override;
   void PredictWithUncertaintyBatch(const Matrix& x, Vector* mean,
                                    Vector* stddev) const override;
@@ -66,6 +62,10 @@ class MlpModel : public ObjectiveModel {
 
   const Mlp& mlp() const { return *mlp_; }
   const MlpModelConfig& config() const { return config_; }
+  /// Standardization of the (possibly log-transformed) targets: the network
+  /// predicts (t - target_mean) / target_std.
+  double target_mean() const { return y_mean_; }
+  double target_std() const { return y_std_; }
 
   /// Writes architecture, target transform and weights as portable text.
   void SerializeTo(std::ostream& out) const;

@@ -6,112 +6,100 @@
 
 namespace udao {
 
-Vector FiniteDifferenceGradient(const ObjectiveModel& model, const Vector& x,
-                                double h) {
-  Vector grad(x.size());
-  Vector probe = x;
-  for (size_t d = 0; d < x.size(); ++d) {
-    const double orig = probe[d];
-    probe[d] = orig + h;
-    const double fp = model.Predict(probe);
-    probe[d] = orig - h;
-    const double fm = model.Predict(probe);
-    probe[d] = orig;
-    grad[d] = (fp - fm) / (2.0 * h);
-  }
-  return grad;
+double ObjectiveModel::Predict(const Vector& x) const {
+  Vector out;
+  PredictBatch(Matrix::FromRows({x}), &out);
+  return out[0];
 }
 
-void ObjectiveModel::PredictBatch(const Matrix& x, Vector* out) const {
-  UDAO_CHECK_EQ(x.cols(), input_dim());
-  out->resize(x.rows());
-  for (int i = 0; i < x.rows(); ++i) (*out)[i] = Predict(x.Row(i));
+void ObjectiveModel::PredictWithUncertainty(const Vector& x, double* mean,
+                                            double* stddev) const {
+  Vector m;
+  Vector s;
+  PredictWithUncertaintyBatch(Matrix::FromRows({x}), &m, &s);
+  *mean = m[0];
+  *stddev = s[0];
 }
 
-void ObjectiveModel::GradientBatch(const Matrix& x, Matrix* grads,
-                                   Vector* values) const {
-  UDAO_CHECK_EQ(x.cols(), input_dim());
-  // Resize (not reconstruct) so a caller-held matrix keeps its allocation
-  // across solver iterations; every row is fully overwritten below.
-  grads->Resize(x.rows(), input_dim());
-  if (values != nullptr) values->resize(x.rows());
-  for (int i = 0; i < x.rows(); ++i) {
-    const Vector point = x.Row(i);
-    const Vector g = InputGradient(point);
-    UDAO_CHECK_EQ(static_cast<int>(g.size()), grads->cols());
-    double* row = grads->RowPtr(i);
-    for (int d = 0; d < grads->cols(); ++d) row[d] = g[d];
-    if (values != nullptr) (*values)[i] = Predict(point);
-  }
+Vector ObjectiveModel::InputGradient(const Vector& x) const {
+  Matrix grads;
+  GradientBatch(Matrix::FromRows({x}), &grads);
+  return grads.Row(0);
 }
 
 void ObjectiveModel::PredictWithUncertaintyBatch(const Matrix& x, Vector* mean,
                                                  Vector* stddev) const {
-  UDAO_CHECK_EQ(x.cols(), input_dim());
-  mean->resize(x.rows());
-  stddev->resize(x.rows());
-  for (int i = 0; i < x.rows(); ++i) {
-    PredictWithUncertainty(x.Row(i), &(*mean)[i], &(*stddev)[i]);
-  }
+  PredictBatch(x, mean);
+  stddev->assign(x.rows(), 0.0);
 }
 
-CallableModel::CallableModel(std::string name, int dim, Fn fn)
-    : name_(std::move(name)), dim_(dim), fn_(std::move(fn)) {
-  grad_ = [this](const Vector& x) {
-    return FiniteDifferenceGradient(*this, x);
+CallableModel::CallableModel(std::string name, int dim, Fn fn, GradFn grad)
+    : name_(std::move(name)), dim_(dim) {
+  // The row loops copy each row into one reused point: finite differences
+  // run 2 * dim + 1 rows per point, so a fresh Vector per row would be the
+  // dominant cost of cheap closures.
+  if (grad != nullptr) {
+    grad_ = [fn, grad = std::move(grad)](const Matrix& x, Matrix* grads,
+                                         Vector* values) {
+      Vector point(x.cols());
+      for (int i = 0; i < x.rows(); ++i) {
+        std::copy(x.RowPtr(i), x.RowPtr(i) + x.cols(), point.begin());
+        const Vector g = grad(point);
+        UDAO_CHECK_EQ(static_cast<int>(g.size()), grads->cols());
+        std::copy(g.begin(), g.end(), grads->RowPtr(i));
+        if (values != nullptr) (*values)[i] = fn(point);
+      }
+    };
+  }
+  fn_ = [fn = std::move(fn)](const Matrix& x, Vector* out) {
+    Vector point(x.cols());
+    for (int i = 0; i < x.rows(); ++i) {
+      std::copy(x.RowPtr(i), x.RowPtr(i) + x.cols(), point.begin());
+      (*out)[i] = fn(point);
+    }
   };
 }
 
-CallableModel& CallableModel::WithBatch(BatchFn batch_fn,
-                                        BatchGradFn batch_grad) {
-  batch_fn_ = std::move(batch_fn);
-  batch_grad_ = std::move(batch_grad);
-  return *this;
-}
-
 void CallableModel::PredictBatch(const Matrix& x, Vector* out) const {
-  if (batch_fn_ == nullptr) {
-    ObjectiveModel::PredictBatch(x, out);
-    return;
-  }
   UDAO_CHECK_EQ(x.cols(), dim_);
   out->resize(x.rows());
-  batch_fn_(x, out);
+  fn_(x, out);
 }
 
 void CallableModel::GradientBatch(const Matrix& x, Matrix* grads,
                                   Vector* values) const {
-  if (batch_grad_ == nullptr) {
-    // A vectorized value form still speeds up the fused path's values.
-    if (batch_fn_ != nullptr && values != nullptr) {
-      ObjectiveModel::GradientBatch(x, grads, nullptr);
-      PredictBatch(x, values);
-      return;
-    }
-    ObjectiveModel::GradientBatch(x, grads, values);
-    return;
-  }
   UDAO_CHECK_EQ(x.cols(), dim_);
   // The callback contract hands user code a zeroed gradient matrix, so the
   // Resize is followed by an explicit fill.
   grads->Resize(x.rows(), dim_);
   std::fill(grads->data().begin(), grads->data().end(), 0.0);
   if (values != nullptr) values->resize(x.rows());
-  batch_grad_(x, grads, values);
-}
-
-double NonNegativeModel::Predict(const Vector& x) const {
-  return std::max(0.0, base_->Predict(x));
-}
-
-void NonNegativeModel::PredictWithUncertainty(const Vector& x, double* mean,
-                                              double* stddev) const {
-  base_->PredictWithUncertainty(x, mean, stddev);
-  *mean = std::max(0.0, *mean);
-}
-
-Vector NonNegativeModel::InputGradient(const Vector& x) const {
-  return base_->InputGradient(x);
+  if (grad_ != nullptr) {
+    grad_(x, grads, values);
+    return;
+  }
+  // Central differences: probe rows 2k and 2k + 1 are point i shifted by +h
+  // and -h along dimension d, k = i * dim + d.
+  constexpr double kH = 1e-5;
+  Matrix probes(2 * x.rows() * dim_, dim_);
+  for (int i = 0; i < x.rows(); ++i) {
+    const double* point = x.RowPtr(i);
+    for (int d = 0; d < dim_; ++d) {
+      const int k = i * dim_ + d;
+      double* plus = probes.RowPtr(2 * k);
+      double* minus = probes.RowPtr(2 * k + 1);
+      std::copy(point, point + dim_, plus);
+      std::copy(point, point + dim_, minus);
+      plus[d] = point[d] + kH;
+      minus[d] = point[d] - kH;
+    }
+  }
+  Vector f;
+  PredictBatch(probes, &f);
+  for (int k = 0; k < x.rows() * dim_; ++k) {
+    grads->data()[k] = (f[2 * k] - f[2 * k + 1]) / (2.0 * kH);
+  }
+  if (values != nullptr) PredictBatch(x, values);
 }
 
 void NonNegativeModel::PredictBatch(const Matrix& x, Vector* out) const {
@@ -133,55 +121,6 @@ void NonNegativeModel::PredictWithUncertaintyBatch(const Matrix& x,
                                                    Vector* stddev) const {
   base_->PredictWithUncertaintyBatch(x, mean, stddev);
   for (double& v : *mean) v = std::max(0.0, v);
-}
-
-double UncertaintyAdjustedModel::Predict(const Vector& x) const {
-  double mean = 0.0;
-  double stddev = 0.0;
-  base_->PredictWithUncertainty(x, &mean, &stddev);
-  return mean + alpha_ * stddev;
-}
-
-void UncertaintyAdjustedModel::PredictWithUncertainty(const Vector& x,
-                                                      double* mean,
-                                                      double* stddev) const {
-  base_->PredictWithUncertainty(x, mean, stddev);
-  *mean += alpha_ * *stddev;
-}
-
-void UncertaintyAdjustedModel::PredictBatch(const Matrix& x,
-                                            Vector* out) const {
-  Vector stddev;
-  base_->PredictWithUncertaintyBatch(x, out, &stddev);
-  for (size_t i = 0; i < out->size(); ++i) (*out)[i] += alpha_ * stddev[i];
-}
-
-void UncertaintyAdjustedModel::PredictWithUncertaintyBatch(
-    const Matrix& x, Vector* mean, Vector* stddev) const {
-  base_->PredictWithUncertaintyBatch(x, mean, stddev);
-  for (size_t i = 0; i < mean->size(); ++i) (*mean)[i] += alpha_ * (*stddev)[i];
-}
-
-Vector UncertaintyAdjustedModel::InputGradient(const Vector& x) const {
-  Vector grad = base_->InputGradient(x);
-  if (alpha_ == 0.0) return grad;
-  // Gradient of the stddev term by central differences; GP/MC-dropout stddev
-  // fields are smooth enough for this to guide descent.
-  const double h = 1e-4;
-  Vector probe = x;
-  for (size_t d = 0; d < x.size(); ++d) {
-    double mean = 0.0;
-    double sp = 0.0;
-    double sm = 0.0;
-    const double orig = probe[d];
-    probe[d] = orig + h;
-    base_->PredictWithUncertainty(probe, &mean, &sp);
-    probe[d] = orig - h;
-    base_->PredictWithUncertainty(probe, &mean, &sm);
-    probe[d] = orig;
-    grad[d] += alpha_ * (sp - sm) / (2.0 * h);
-  }
-  return grad;
 }
 
 }  // namespace udao

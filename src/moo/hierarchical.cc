@@ -31,7 +31,8 @@ double Clamp01(double v) { return std::min(1.0, std::max(0.0, v)); }
 // Builds the analytic objective of one stage subproblem: encoded per-stage
 // knobs -> relaxed raw values (no integer rounding -- the descent needs a
 // slope) -> effective conf over `base_raw` -> relaxed stage seconds. The
-// gradient falls back to CallableModel's central finite differences.
+// per-point adapter runs the closure row by row; with no gradient callable,
+// CallableModel takes central differences over one batch of probe rows.
 std::shared_ptr<const ObjectiveModel> MakeStageModel(const SparkEngine* engine,
                                                      Vector base_raw,
                                                      StageProfile stage,

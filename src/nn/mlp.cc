@@ -50,8 +50,7 @@ double Mlp::ActGrad(double pre, double post) const {
 }
 
 Vector Mlp::ForwardCached(const Vector& x, std::vector<Vector>* pre,
-                          std::vector<Vector>* post,
-                          const std::vector<Vector>* dropout_masks) const {
+                          std::vector<Vector>* post) const {
   UDAO_CHECK_EQ(static_cast<int>(x.size()), input_dim());
   Vector cur = x;
   const int num_layers = static_cast<int>(layers_.size());
@@ -62,10 +61,6 @@ Vector Mlp::ForwardCached(const Vector& x, std::vector<Vector>* pre,
     const bool is_output = (l == num_layers - 1);
     Vector a(z.size());
     for (size_t i = 0; i < z.size(); ++i) a[i] = is_output ? z[i] : Act(z[i]);
-    if (!is_output && dropout_masks != nullptr) {
-      const Vector& mask = (*dropout_masks)[l];
-      for (size_t i = 0; i < a.size(); ++i) a[i] *= mask[i];
-    }
     if (post != nullptr) post->push_back(a);
     cur = std::move(a);
   }
@@ -73,7 +68,8 @@ Vector Mlp::ForwardCached(const Vector& x, std::vector<Vector>* pre,
 }
 
 const double* Mlp::ForwardArena(const Matrix& x, kernels::KernelArena* arena,
-                                std::vector<const double*>* post) const {
+                                std::vector<const double*>* post,
+                                const std::vector<double*>* masks) const {
   UDAO_CHECK_EQ(x.cols(), input_dim());
   const int rows = x.rows();
   const double* cur = x.data().data();
@@ -84,10 +80,10 @@ const double* Mlp::ForwardArena(const Matrix& x, kernels::KernelArena* arena,
   for (int l = 0; l < num_layers; ++l) {
     // out = fuse(cur * W^T + bias): one fused layer kernel for the whole
     // batch. Per output element the kernel performs dot, then + bias, then
-    // the activation -- the exact operation sequence of the scalar Apply
-    // path -- so batched and scalar predictions agree bitwise within a
-    // kernel backend. The kernel picks the fully-unrolled 128-wide dot
-    // whenever fan_in == 128 (the paper's 4x128 topology).
+    // the activation -- the operation sequence of Matrix::Apply plus bias
+    // plus activation -- so a row's result does not depend on the batch it
+    // came in. The kernel picks the fully-unrolled 128-wide dot whenever
+    // fan_in == 128 (the paper's 4x128 topology).
     const Layer& layer = layers_[l];
     const int fan_in = layer.w.cols();
     const int fan_out = layer.w.rows();
@@ -107,20 +103,16 @@ const double* Mlp::ForwardArena(const Matrix& x, kernels::KernelArena* arena,
       const size_t count = static_cast<size_t>(rows) * fan_out;
       for (size_t i = 0; i < count; ++i) out[i] = std::tanh(out[i]);
     }
+    if (!is_output && masks != nullptr) {
+      // Dropout applies after the activation.
+      const double* m = (*masks)[l];
+      const size_t count = static_cast<size_t>(rows) * fan_out;
+      for (size_t i = 0; i < count; ++i) out[i] *= m[i];
+    }
     if (post != nullptr) post->push_back(out);
     cur = out;
   }
   return cur;
-}
-
-Matrix Mlp::ForwardBatch(const Matrix& x) const {
-  kernels::KernelArena& arena = kernels::KernelArena::ThreadLocal();
-  kernels::KernelArena::Scope scope(&arena);
-  const double* out = ForwardArena(x, &arena, nullptr);
-  Matrix y(x.rows(), output_dim());
-  std::copy(out, out + static_cast<size_t>(x.rows()) * output_dim(),
-            y.data().begin());
-  return y;
 }
 
 void Mlp::PredictBatch(const Matrix& x, Vector* out) const {
@@ -160,8 +152,9 @@ void Mlp::InputGradientBatch(const Matrix& x, Matrix* grad,
                          static_cast<size_t>(config_.layer_sizes[l]));
   }
   // Seed every row with d(out)/d(out) = 1 and back-propagate all points at
-  // once; gemm_nn's axpy accumulation replicates the per-point
-  // ApplyTranspose exactly (same order, same zero skips). Two arena buffers
+  // once; gemm_nn's axpy accumulation replicates a per-point
+  // Matrix::ApplyTranspose exactly (same order, same zero skips), so a row's
+  // gradient does not depend on its batch. Two arena buffers
   // ping-pong the deltas; the final product is written straight into *grad.
   double* delta = arena.Alloc(static_cast<size_t>(rows) * max_width);
   double* scratch = arena.Alloc(static_cast<size_t>(rows) * max_width);
@@ -172,7 +165,7 @@ void Mlp::InputGradientBatch(const Matrix& x, Matrix* grad,
     if (l != num_layers - 1) {
       // Elementwise activation-gradient scaling stays plain (non-kernel)
       // code: it must not be FMA-contracted, or the batched path would drift
-      // from the scalar ActGrad computation within one backend.
+      // from a per-point delta * ActGrad within one backend.
       const double* p = post[l];
       const size_t count = static_cast<size_t>(rows) * width;
       if (config_.activation == Activation::kRelu) {
@@ -195,65 +188,7 @@ void Mlp::InputGradientBatch(const Matrix& x, Matrix* grad,
 }
 
 Vector Mlp::Forward(const Vector& x) const {
-  return ForwardCached(x, nullptr, nullptr, nullptr);
-}
-
-double Mlp::Predict(const Vector& x) const {
-  UDAO_CHECK_EQ(output_dim(), 1);
-  const double y = Forward(x)[0];
-  UDAO_DCHECK_FINITE(y);
-  return y;
-}
-
-Vector Mlp::InputGradient(const Vector& x) const {
-  UDAO_CHECK_EQ(output_dim(), 1);
-  std::vector<Vector> pre;
-  std::vector<Vector> post;
-  ForwardCached(x, &pre, &post, nullptr);
-  const int num_layers = static_cast<int>(layers_.size());
-  // Seed with d(out)/d(out) = 1 and back-propagate to the input.
-  Vector delta(1, 1.0);
-  for (int l = num_layers - 1; l >= 0; --l) {
-    // delta currently holds d(out)/d(post-activation of layer l).
-    if (l != num_layers - 1) {
-      for (size_t i = 0; i < delta.size(); ++i) {
-        delta[i] *= ActGrad(pre[l][i], post[l][i]);
-      }
-    }
-    delta = layers_[l].w.ApplyTranspose(delta);
-  }
-  for (const double g : delta) UDAO_DCHECK_FINITE(g);
-  return delta;
-}
-
-void Mlp::PredictWithUncertainty(const Vector& x, int samples, Rng* rng,
-                                 double* mean, double* stddev) const {
-  UDAO_CHECK_EQ(output_dim(), 1);
-  UDAO_CHECK_GT(samples, 0);
-  const int num_hidden = static_cast<int>(layers_.size()) - 1;
-  const double keep = 1.0 - config_.dropout;
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  for (int s = 0; s < samples; ++s) {
-    std::vector<Vector> masks(layers_.size());
-    for (int l = 0; l < num_hidden; ++l) {
-      masks[l].assign(layers_[l].b.size(), 0.0);
-      for (size_t i = 0; i < masks[l].size(); ++i) {
-        // Inverted dropout keeps the expected activation unchanged.
-        masks[l][i] = rng->Bernoulli(keep) ? 1.0 / keep : 0.0;
-      }
-    }
-    const double y = ForwardCached(x, nullptr, nullptr, &masks)[0];
-    sum += y;
-    sum_sq += y * y;
-  }
-  *mean = sum / samples;
-  const double var =
-      samples > 1 ? std::max(0.0, (sum_sq - sum * sum / samples) / (samples - 1))
-                  : 0.0;
-  *stddev = std::sqrt(var);
-  UDAO_DCHECK_FINITE(*mean);
-  UDAO_DCHECK_FINITE(*stddev);
+  return ForwardCached(x, nullptr, nullptr);
 }
 
 void Mlp::PredictWithUncertaintyBatch(const Matrix& x, int samples,
@@ -275,11 +210,9 @@ void Mlp::PredictWithUncertaintyBatch(const Matrix& x, int samples,
   for (int l = 0; l < num_hidden; ++l) {
     masks[l] = arena.Alloc(static_cast<size_t>(rows) * layers_[l].b.size());
   }
-  const kernels::KernelTable* t = kernels::ActiveTable();
   for (int s = 0; s < samples; ++s) {
     // Row r's generator emits this sample's masks layer by layer, unit by
-    // unit -- the exact stream PredictWithUncertainty consumes, which is
-    // what keeps the two entry points bitwise-interchangeable.
+    // unit, so each row consumes its own stream whatever the batch.
     for (int r = 0; r < rows; ++r) {
       Rng& rng = (*rngs)[r];
       for (int l = 0; l < num_hidden; ++l) {
@@ -292,30 +225,7 @@ void Mlp::PredictWithUncertaintyBatch(const Matrix& x, int samples,
       }
     }
     kernels::KernelArena::Scope pass(&arena);
-    const double* cur = x.data().data();
-    for (int l = 0; l < num_layers; ++l) {
-      const Layer& layer = layers_[l];
-      const int fan_out = layer.w.rows();
-      double* out = arena.Alloc(static_cast<size_t>(rows) * fan_out);
-      const bool is_output = (l == num_layers - 1);
-      const bool fuse_relu =
-          !is_output && config_.activation == Activation::kRelu;
-      t->layer_forward(cur, rows, layer.w.cols(), layer.w.data().data(),
-                       layer.b.data(), fan_out,
-                       fuse_relu ? kernels::Fused::kBiasRelu
-                                 : kernels::Fused::kBias,
-                       out);
-      if (!is_output) {
-        const size_t count = static_cast<size_t>(rows) * fan_out;
-        if (config_.activation == Activation::kTanh) {
-          for (size_t i = 0; i < count; ++i) out[i] = std::tanh(out[i]);
-        }
-        // Mask after activation, as ForwardCached does.
-        const double* m = masks[l];
-        for (size_t i = 0; i < count; ++i) out[i] *= m[i];
-      }
-      cur = out;
-    }
+    const double* cur = ForwardArena(x, &arena, nullptr, &masks);
     for (int r = 0; r < rows; ++r) {
       const double y = cur[r];
       sum[r] += y;
@@ -359,7 +269,7 @@ Vector Mlp::LayerActivations(const Vector& x, int layer) const {
   UDAO_CHECK(layer >= 0 && layer < static_cast<int>(layers_.size()));
   std::vector<Vector> pre;
   std::vector<Vector> post;
-  ForwardCached(x, &pre, &post, nullptr);
+  ForwardCached(x, &pre, &post);
   return post[layer];
 }
 
@@ -377,7 +287,7 @@ double Mlp::ForwardBackwardMulti(const Matrix& x, const Matrix& y,
     std::vector<Vector> pre;
     std::vector<Vector> post;
     const Vector input = x.Row(n);
-    const Vector out = ForwardCached(input, &pre, &post, nullptr);
+    const Vector out = ForwardCached(input, &pre, &post);
     Vector delta(out.size());
     for (size_t o = 0; o < out.size(); ++o) {
       const double err = out[o] - y(n, static_cast<int>(o));

@@ -33,7 +33,10 @@ struct MlpConfig {
 /// The backward pass produces gradients with respect to the *weights* (used by
 /// the trainer in train.h) and with respect to the *input* (used by the MOGD
 /// solver, which descends on the configuration x while weights stay frozen).
-/// Uncertainty estimates come from Monte-Carlo dropout.
+/// Uncertainty estimates come from Monte-Carlo dropout. Inference (the
+/// *Batch calls) runs on one batched forward over arena buffers; training
+/// and LayerActivations run on a per-point forward that caches
+/// pre-activations for the weight backward pass.
 class Mlp {
  public:
   /// One dense layer: out = act(w * in + b); w has shape [fan_out, fan_in].
@@ -50,50 +53,35 @@ class Mlp {
 
   Mlp(MlpConfig config, Rng* rng);
 
-  /// Deterministic forward pass (no dropout). `x` must match the input width;
-  /// returns the output vector (usually 1-dimensional for regression).
+  /// Deterministic forward pass (no dropout) of one input, through the
+  /// training forward. `x` must match the input width; returns the output
+  /// vector (usually 1-dimensional for regression).
   Vector Forward(const Vector& x) const;
 
-  /// Scalar convenience wrapper for 1-output networks.
-  double Predict(const Vector& x) const;
-
-  /// Gradient of the scalar output with respect to the input, evaluated at x.
-  /// ReLU is subdifferentiable; we use the subgradient 0 at the kink, which is
-  /// exactly what the paper's MOGD solver requires.
-  Vector InputGradient(const Vector& x) const;
-
-  /// Batched deterministic forward: rows of `x` are inputs, rows of the
-  /// result are outputs. One fused layer kernel per layer (dispatched GEMM +
-  /// bias + ReLU, see nn/kernels.h) instead of a matrix-vector product per
-  /// point -- the kernel behind ObjectiveModel::PredictBatch. Activation and
-  /// gradient temporaries live on the thread-local KernelArena, so steady-
-  /// state batched calls perform no heap allocation.
-  Matrix ForwardBatch(const Matrix& x) const;
-
-  /// Batched scalar prediction for 1-output networks.
+  /// Batched scalar prediction for 1-output networks: rows of `x` are
+  /// inputs. One fused layer kernel per layer (dispatched GEMM + bias +
+  /// ReLU, see nn/kernels.h) over the whole batch -- the kernel behind
+  /// ObjectiveModel::PredictBatch. Activation temporaries live on the
+  /// thread-local KernelArena, so steady-state calls perform no heap
+  /// allocation.
   void PredictBatch(const Matrix& x, Vector* out) const;
 
-  /// Batched input gradients: row i of `*grad` becomes InputGradient of row
-  /// i of `x` (grad is Resize()d in place, so a caller-held matrix is reused
-  /// across solver iterations without reallocating). When `values` is
+  /// Batched input gradients of the scalar output: row i of `*grad` is the
+  /// gradient at row i of `x` (grad is Resize()d in place, so a caller-held
+  /// matrix is reused across solver iterations without reallocating). ReLU
+  /// is subdifferentiable; the subgradient at the kink is 0, which is
+  /// exactly what the paper's MOGD solver requires. When `values` is
   /// non-null it receives the predictions from the same forward pass, so the
   /// MOGD hot path pays for one forward per Adam iteration instead of two.
   void InputGradientBatch(const Matrix& x, Matrix* grad,
                           Vector* values = nullptr) const;
 
-  /// MC-dropout estimate: runs `samples` stochastic forward passes and
-  /// reports mean and standard deviation of the scalar output.
-  void PredictWithUncertainty(const Vector& x, int samples, Rng* rng,
-                              double* mean, double* stddev) const;
-
-  /// Batched MC-dropout: row r of mean/stddev reproduces
-  /// PredictWithUncertainty(x.Row(r), samples, &(*rngs)[r], ...) bitwise
-  /// within a kernel backend. Each row's masks are drawn from its own Rng in
-  /// the scalar path's (sample, layer, unit) order, and each stochastic pass
-  /// runs as one fused layer kernel per layer over all rows -- so ranking a
-  /// frontier under uncertainty costs `samples` batched forwards instead of
-  /// rows x samples scalar ones. `rngs` must hold one generator per row and
-  /// is advanced exactly as the scalar calls would advance it.
+  /// MC-dropout estimate: for every row, runs `samples` stochastic forward
+  /// passes and reports mean and standard deviation of the scalar output.
+  /// Row r's masks are drawn from (*rngs)[r] in (sample, layer, unit) order,
+  /// so a row's result does not depend on the other rows; each stochastic
+  /// pass runs as one fused layer kernel per layer over all rows. `rngs`
+  /// must hold one generator per row.
   void PredictWithUncertaintyBatch(const Matrix& x, int samples,
                                    std::vector<Rng>* rngs, Vector* mean,
                                    Vector* stddev) const;
@@ -131,17 +119,21 @@ class Mlp {
  private:
   double Act(double v) const;
   double ActGrad(double pre, double post) const;
-  // Forward pass caching pre-activations; optionally applies dropout masks.
+  // Per-point training forward; `pre`/`post`, when non-null, receive every
+  // layer's pre- and post-activation values.
   Vector ForwardCached(const Vector& x, std::vector<Vector>* pre,
-                       std::vector<Vector>* post,
-                       const std::vector<Vector>* dropout_masks) const;
-  // Batched forward over arena-owned buffers. Returns the final layer's
-  // output buffer [x.rows() x output_dim]; when `post` is non-null it
-  // receives each layer's post-activation buffer (the backward pass needs
-  // only post-activations: relu's gradient is post > 0, tanh's 1 - post^2).
-  // Buffers live until the caller's KernelArena::Scope unwinds.
+                       std::vector<Vector>* post) const;
+  // The inference forward: all rows of `x` over arena-owned buffers.
+  // Returns the final layer's output buffer [x.rows() x output_dim]; when
+  // `post` is non-null it receives each layer's post-activation buffer (the
+  // backward pass needs only post-activations: relu's gradient is post > 0,
+  // tanh's 1 - post^2). When `masks` is non-null, hidden layer l's
+  // activations are multiplied by (*masks)[l] ([x.rows() x fan_out]), as
+  // dropout does. Buffers live until the caller's KernelArena::Scope
+  // unwinds.
   const double* ForwardArena(const Matrix& x, kernels::KernelArena* arena,
-                             std::vector<const double*>* post) const;
+                             std::vector<const double*>* post,
+                             const std::vector<double*>* masks = nullptr) const;
 
   MlpConfig config_;
   std::vector<Layer> layers_;

@@ -1,11 +1,13 @@
-// Equivalence of the batched model-inference surface with the scalar one:
-// PredictBatch / GradientBatch / PredictWithUncertaintyBatch must reproduce
-// the per-point entry points exactly for every ObjectiveModel subclass, and
-// the solvers built on top must return identical solutions regardless of
-// thread count or repetition. MOGD's lockstep multistarts must match the
-// one-start-at-a-time reference in mogd_reference.h bitwise.
+// The batched model-inference surface: PredictBatch / GradientBatch /
+// PredictWithUncertaintyBatch must give every row exactly what that row
+// gives alone, for every ObjectiveModel subclass, and the Mlp model's batch
+// paths must match the per-point reference arithmetic in model_reference.h
+// bitwise. The solvers built on top must return identical solutions
+// regardless of thread count or repetition, and MOGD's lockstep multistarts
+// must match the one-start-at-a-time reference in mogd_reference.h bitwise.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "common/random.h"
@@ -17,6 +19,7 @@
 #include "moo/mogd.h"
 #include "moo/problem.h"
 #include "moo/progressive_frontier.h"
+#include "model_reference.h"
 #include "mogd_reference.h"
 #include "test_problems.h"
 
@@ -26,6 +29,9 @@ namespace {
 using testing_problems::ConvexProblem;
 using testing_problems::UnitSpace2;
 using testing_reference::ReferenceMinimize;
+using testing_reference::ReferenceMlpModelGradient;
+using testing_reference::ReferenceMlpModelPredict;
+using testing_reference::ReferenceMlpModelUncertainty;
 using testing_reference::ReferenceSolveCo;
 
 Matrix RandomPoints(int n, int dim, uint64_t seed) {
@@ -39,11 +45,23 @@ Vector Row(const Matrix& x, int i) {
   return Vector(x.RowPtr(i), x.RowPtr(i) + x.cols());
 }
 
-// Asserts the three batch entry points agree exactly with their scalar
-// counterparts on every row of `x`.
-void ExpectBatchMatchesScalar(const ObjectiveModel& model, const Matrix& x) {
+// `n` uniform points whose last two rows duplicate rows 0 and 1.
+Matrix PointsWithDuplicates(int n, int dim, uint64_t seed) {
+  Matrix x = RandomPoints(n, dim, seed);
+  for (int d = 0; d < dim; ++d) {
+    x(n - 2, d) = x(0, d);
+    x(n - 1, d) = x(1, d);
+  }
+  return x;
+}
+
+// Asserts row i of each batch entry point equals row i evaluated alone (the
+// one-row wrappers Predict / InputGradient / PredictWithUncertainty),
+// bitwise, on every row of `x`.
+void ExpectRowsIndependent(const ObjectiveModel& model, const Matrix& x) {
   const int n = x.rows();
   const int dim = x.cols();
+  ASSERT_GE(n, 7);
 
   Vector batch_values;
   model.PredictBatch(x, &batch_values);
@@ -67,14 +85,14 @@ void ExpectBatchMatchesScalar(const ObjectiveModel& model, const Matrix& x) {
 
   for (int i = 0; i < n; ++i) {
     const Vector xi = Row(x, i);
-    const double scalar_value = model.Predict(xi);
-    EXPECT_EQ(batch_values[i], scalar_value) << "PredictBatch row " << i;
-    EXPECT_EQ(fused_values[i], scalar_value) << "fused values row " << i;
-    const Vector scalar_grad = model.InputGradient(xi);
+    const double alone = model.Predict(xi);
+    EXPECT_EQ(batch_values[i], alone) << "PredictBatch row " << i;
+    EXPECT_EQ(fused_values[i], alone) << "fused values row " << i;
+    const Vector grad_alone = model.InputGradient(xi);
     for (int d = 0; d < dim; ++d) {
-      EXPECT_EQ(batch_grads(i, d), scalar_grad[d])
+      EXPECT_EQ(batch_grads(i, d), grad_alone[d])
           << "GradientBatch row " << i << " dim " << d;
-      EXPECT_EQ(grads_only(i, d), scalar_grad[d])
+      EXPECT_EQ(grads_only(i, d), grad_alone[d])
           << "GradientBatch (no values) row " << i << " dim " << d;
     }
     double mean = 0.0;
@@ -82,6 +100,32 @@ void ExpectBatchMatchesScalar(const ObjectiveModel& model, const Matrix& x) {
     model.PredictWithUncertainty(xi, &mean, &stddev);
     EXPECT_EQ(batch_mean[i], mean) << "uncertainty mean row " << i;
     EXPECT_EQ(batch_std[i], stddev) << "uncertainty std row " << i;
+  }
+}
+
+// Asserts the Mlp model's batch entry points equal the per-point reference
+// arithmetic (model_reference.h) bitwise on every row of `x`.
+void ExpectMlpModelMatchesReference(const MlpModel& model, const Matrix& x) {
+  Vector values;
+  model.PredictBatch(x, &values);
+  Matrix grads;
+  Vector fused;
+  model.GradientBatch(x, &grads, &fused);
+  Vector mean;
+  Vector stddev;
+  model.PredictWithUncertaintyBatch(x, &mean, &stddev);
+  for (int i = 0; i < x.rows(); ++i) {
+    const Vector xi = Row(x, i);
+    const double want = ReferenceMlpModelPredict(model, xi);
+    EXPECT_EQ(values[i], want) << "PredictBatch row " << i;
+    EXPECT_EQ(fused[i], want) << "fused values row " << i;
+    EXPECT_EQ(grads.Row(i), ReferenceMlpModelGradient(model, xi))
+        << "GradientBatch row " << i;
+    double m = 0.0;
+    double s = 0.0;
+    ReferenceMlpModelUncertainty(model, xi, &m, &s);
+    EXPECT_EQ(mean[i], m) << "uncertainty mean row " << i;
+    EXPECT_EQ(stddev[i], s) << "uncertainty std row " << i;
   }
 }
 
@@ -115,69 +159,74 @@ std::shared_ptr<GpModel> FitTinyGp(int dim, bool log_targets) {
   return *fitted;
 }
 
-TEST(BatchEvalTest, MlpModelMatchesScalar) {
-  ExpectBatchMatchesScalar(*FitTinyMlp(4, false), RandomPoints(17, 4, 21));
+TEST(BatchEvalTest, MlpModelMatchesReference) {
+  const auto model = FitTinyMlp(4, false);
+  const Matrix x = PointsWithDuplicates(17, 4, 21);
+  ExpectMlpModelMatchesReference(*model, x);
+  ExpectRowsIndependent(*model, x);
 }
 
-TEST(BatchEvalTest, MlpModelLogTargetsMatchesScalar) {
-  ExpectBatchMatchesScalar(*FitTinyMlp(3, true), RandomPoints(9, 3, 22));
+TEST(BatchEvalTest, MlpModelLogTargetsMatchesReference) {
+  const auto model = FitTinyMlp(3, true);
+  const Matrix x = PointsWithDuplicates(9, 3, 22);
+  ExpectMlpModelMatchesReference(*model, x);
+  ExpectRowsIndependent(*model, x);
 }
 
-TEST(BatchEvalTest, GpModelMatchesScalar) {
-  ExpectBatchMatchesScalar(*FitTinyGp(4, false), RandomPoints(13, 4, 23));
+TEST(BatchEvalTest, GpModelRowsAreIndependent) {
+  ExpectRowsIndependent(*FitTinyGp(4, false), PointsWithDuplicates(13, 4, 23));
 }
 
-TEST(BatchEvalTest, GpModelLogTargetsMatchesScalar) {
-  ExpectBatchMatchesScalar(*FitTinyGp(3, true), RandomPoints(7, 3, 24));
+TEST(BatchEvalTest, GpModelLogTargetsRowsAreIndependent) {
+  ExpectRowsIndependent(*FitTinyGp(3, true), PointsWithDuplicates(7, 3, 24));
 }
 
-TEST(BatchEvalTest, AnalyticModelsMatchScalar) {
+TEST(BatchEvalTest, AnalyticModelsRowsAreIndependent) {
   const int batch_dim = BatchParamSpace().EncodedDim();
   const int stream_dim = StreamParamSpace().EncodedDim();
   auto latency = MakeAnalyticBatchLatencyModel(AnalyticWorkload{});
-  ExpectBatchMatchesScalar(*latency, RandomPoints(11, batch_dim, 31));
-  ExpectBatchMatchesScalar(*MakeCostCoresModel(),
-                           RandomPoints(11, batch_dim, 32));
-  ExpectBatchMatchesScalar(*MakeStreamCostCoresModel(),
-                           RandomPoints(11, stream_dim, 33));
-  ExpectBatchMatchesScalar(*MakeCpuHourModel(latency),
-                           RandomPoints(11, batch_dim, 34));
-  ExpectBatchMatchesScalar(*MakeFig3LatencyModel(), RandomPoints(11, 2, 35));
-  ExpectBatchMatchesScalar(*MakeFig3CostModel(), RandomPoints(11, 2, 36));
+  ExpectRowsIndependent(*latency, PointsWithDuplicates(11, batch_dim, 31));
+  ExpectRowsIndependent(*MakeCostCoresModel(),
+                        PointsWithDuplicates(11, batch_dim, 32));
+  ExpectRowsIndependent(*MakeStreamCostCoresModel(),
+                        PointsWithDuplicates(11, stream_dim, 33));
+  ExpectRowsIndependent(*MakeCpuHourModel(latency),
+                        PointsWithDuplicates(11, batch_dim, 34));
+  ExpectRowsIndependent(*MakeFig3LatencyModel(),
+                        PointsWithDuplicates(11, 2, 35));
+  ExpectRowsIndependent(*MakeFig3CostModel(), PointsWithDuplicates(11, 2, 36));
 }
 
-TEST(BatchEvalTest, CallableModelDefaultLoopMatchesScalar) {
-  // No WithBatch installed: exercises the ObjectiveModel base-class
-  // fallbacks (scalar loop) end to end.
-  CallableModel model("quad", 3, [](const Vector& x) {
-    return x[0] * x[0] + 2.0 * x[1] + x[2];
-  });
-  ExpectBatchMatchesScalar(model, RandomPoints(6, 3, 41));
-}
-
-TEST(BatchEvalTest, WrapperModelsMatchScalar) {
-  auto mlp = FitTinyMlp(3, false);
-  ExpectBatchMatchesScalar(NonNegativeModel(mlp), RandomPoints(9, 3, 51));
-  auto gp = FitTinyGp(3, false);
-  ExpectBatchMatchesScalar(NonNegativeModel(gp), RandomPoints(9, 3, 52));
-  // UncertaintyAdjustedModel has no GradientBatch override of its own; its
-  // value surface must still match per-point exactly.
-  UncertaintyAdjustedModel adjusted(gp, /*alpha=*/1.5);
-  const Matrix pts = RandomPoints(9, 3, 53);
-  Vector batch;
-  adjusted.PredictBatch(pts, &batch);
-  Vector mean_b;
-  Vector std_b;
-  adjusted.PredictWithUncertaintyBatch(pts, &mean_b, &std_b);
-  for (int i = 0; i < pts.rows(); ++i) {
-    const Vector xi = Row(pts, i);
-    EXPECT_EQ(batch[i], adjusted.Predict(xi));
-    double mean = 0.0;
-    double stddev = 0.0;
-    adjusted.PredictWithUncertainty(xi, &mean, &stddev);
-    EXPECT_EQ(mean_b[i], mean);
-    EXPECT_EQ(std_b[i], stddev);
+// A per-point callable with no gradient: the row loop plus batched central
+// differences. The gradient must be exactly (f(x + h e_d) - f(x - h e_d)) /
+// (2h) with h = 1e-5 -- the stage models' descents depend on these bits.
+TEST(BatchEvalTest, CallableModelFiniteDifferencesRowsAreIndependent) {
+  const auto f = [](const Vector& x) {
+    return x[0] * x[0] + 2.0 * x[1] + std::sin(x[2]);
+  };
+  CallableModel model("quad", 3, f);
+  const Matrix x = PointsWithDuplicates(7, 3, 41);
+  ExpectRowsIndependent(model, x);
+  Matrix grads;
+  model.GradientBatch(x, &grads);
+  const double h = 1e-5;
+  for (int i = 0; i < x.rows(); ++i) {
+    for (int d = 0; d < 3; ++d) {
+      Vector plus = Row(x, i);
+      Vector minus = plus;
+      plus[d] = plus[d] + h;
+      minus[d] = minus[d] - h;
+      EXPECT_EQ(grads(i, d), (f(plus) - f(minus)) / (2.0 * h))
+          << "row " << i << " dim " << d;
+    }
   }
+}
+
+TEST(BatchEvalTest, WrapperModelsRowsAreIndependent) {
+  ExpectRowsIndependent(NonNegativeModel(FitTinyMlp(3, false)),
+                        PointsWithDuplicates(9, 3, 51));
+  ExpectRowsIndependent(NonNegativeModel(FitTinyGp(3, false)),
+                        PointsWithDuplicates(9, 3, 52));
 }
 
 // A DNN-backed bi-objective problem over UnitSpace2, exercising the GEMM

@@ -160,6 +160,104 @@ TEST_F(CheckpointTest, ModelServerDataKeepsNamesWithSpaces) {
   EXPECT_EQ(restored.NumTraces("tpcx bb", "cpu hours"), 3);
 }
 
+// The serialized text of `model` with line `line` (0-based) replaced.
+std::string WithLine(const MlpModel& model, int line,
+                     const std::string& replacement) {
+  std::ostringstream full;
+  model.SerializeTo(full);
+  std::istringstream in(full.str());
+  std::string out;
+  std::string text;
+  for (int i = 0; std::getline(in, text); ++i) {
+    out += (i == line ? replacement : text) + "\n";
+  }
+  return out;
+}
+
+StatusCode DeserializeCode(const std::string& text) {
+  std::istringstream in(text);
+  return MlpModel::Deserialize(in).status().code();
+}
+
+TEST_F(CheckpointTest, MlpDeserializeRejectsInvalidHeaders) {
+  Rng rng(6);
+  auto model = TrainSmallMlp(&rng);  // layers {2, 8, 1}, tanh
+  // Line 1 holds the layer sizes, line 2 activation / l2 / dropout /
+  // mc_samples / log flag, line 4 the weight count.
+  EXPECT_EQ(DeserializeCode(WithLine(*model, 1, "3 2 0 1")),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(DeserializeCode(WithLine(*model, 1, "3 2 -8 1")),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(DeserializeCode(WithLine(*model, 2, "7 0.0001 0.1 32 0")),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(DeserializeCode(WithLine(*model, 2, "1 0.0001 1 32 0")),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(DeserializeCode(WithLine(*model, 2, "1 0.0001 0.1 0 0")),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(DeserializeCode(WithLine(*model, 4, "32")),
+            StatusCode::kInvalidArgument);
+  // The unmodified text still loads.
+  EXPECT_EQ(DeserializeCode(WithLine(*model, 4, "33")), StatusCode::kOk);
+}
+
+TEST_F(CheckpointTest, GpDeserializeRejectsOversizedHeader) {
+  // 2^20 rows x 4096 columns: rejected before the training matrix is
+  // allocated.
+  std::istringstream in("udao-gp-v1\n1048576 4096 0\n");
+  EXPECT_EQ(GpModel::Deserialize(in).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(CheckpointTest, FailedSaveKeepsPreviousCheckpoint) {
+  Rng rng(7);
+  auto first = TrainSmallMlp(&rng);
+  auto second = TrainSmallMlp(&rng);
+  const Vector p = {0.3, 0.6};
+  ASSERT_NE(first->Predict(p), second->Predict(p));
+  ASSERT_TRUE(SaveMlpModel(*first, Path("m.ckpt")).ok());
+  // A directory where the temporary file goes makes the write fail.
+  fs::create_directories(Path("m.ckpt.tmp"));
+  EXPECT_FALSE(SaveMlpModel(*second, Path("m.ckpt")).ok());
+  auto loaded = LoadMlpModel(Path("m.ckpt"));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ((*loaded)->Predict(p), first->Predict(p));
+}
+
+TEST_F(CheckpointTest, TruncatedTraceFileLoadsNothing) {
+  ModelServer original;
+  for (int i = 0; i < 3; ++i) {
+    original.Ingest("w1", "latency", {0.25 * i, 0.5}, 1.0 + i);
+    original.Ingest("w1", "cost", {0.25 * i, 0.5}, 2.0 + i);
+  }
+  ASSERT_TRUE(SaveModelServerData(original, {"w1"}, {"latency", "cost"},
+                                  dir_.string())
+                  .ok());
+  // Drop the last row of one file; its header still declares 3 rows.
+  const std::string file = Path("w1__cost.traces");
+  std::string text;
+  {
+    std::ifstream in(file);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    text = buf.str();
+  }
+  text.pop_back();  // trailing newline
+  text.erase(text.rfind('\n') + 1);
+  {
+    std::ofstream out(file, std::ios::trunc);
+    out << text;
+  }
+  ModelServer restored;
+  const uint64_t generation = restored.Generation("w1");
+  const Status loaded = LoadModelServerData(dir_.string(), &restored);
+  EXPECT_EQ(loaded.code(), StatusCode::kInvalidArgument) << loaded.ToString();
+  EXPECT_EQ(restored.GetData("w1", "latency").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(restored.GetData("w1", "cost").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(restored.Generation("w1"), generation);
+}
+
 TEST_F(CheckpointTest, LoadFromMissingDirectoryFails) {
   ModelServer server;
   EXPECT_FALSE(LoadModelServerData(Path("nope"), &server).ok());

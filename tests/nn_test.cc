@@ -7,9 +7,14 @@
 #include "nn/adam.h"
 #include "nn/mlp.h"
 #include "nn/train.h"
+#include "model_reference.h"
 
 namespace udao {
 namespace {
+
+using testing_reference::ReferenceMlpInputGradient;
+using testing_reference::ReferenceMlpPredict;
+using testing_reference::ReferenceMlpUncertainty;
 
 MlpConfig SmallConfig(Activation act = Activation::kTanh) {
   MlpConfig cfg;
@@ -17,6 +22,30 @@ MlpConfig SmallConfig(Activation act = Activation::kTanh) {
   cfg.activation = act;
   cfg.l2 = 0.0;
   return cfg;
+}
+
+Matrix OneRow(const Vector& x) { return Matrix::FromRows({x}); }
+
+double PredictOne(const Mlp& mlp, const Vector& x) {
+  Vector out;
+  mlp.PredictBatch(OneRow(x), &out);
+  return out[0];
+}
+
+Vector GradientOne(const Mlp& mlp, const Vector& x) {
+  Matrix grad;
+  mlp.InputGradientBatch(OneRow(x), &grad);
+  return grad.Row(0);
+}
+
+void UncertaintyOne(const Mlp& mlp, const Vector& x, int samples,
+                    uint64_t seed, double* mean, double* stddev) {
+  std::vector<Rng> rngs(1, Rng(seed));
+  Vector m;
+  Vector s;
+  mlp.PredictWithUncertaintyBatch(OneRow(x), samples, &rngs, &m, &s);
+  *mean = m[0];
+  *stddev = s[0];
 }
 
 // ---------------------------------------------------------------- Mlp
@@ -36,9 +65,9 @@ TEST(MlpTest, SnapshotRestoreRoundTrips) {
   Mlp a(SmallConfig(), &rng);
   Mlp b(SmallConfig(), &rng);
   Vector x = {0.2, 0.4, 0.6};
-  EXPECT_NE(a.Predict(x), b.Predict(x));
+  EXPECT_NE(PredictOne(a, x), PredictOne(b, x));
   b.Restore(a.Snapshot());
-  EXPECT_DOUBLE_EQ(a.Predict(x), b.Predict(x));
+  EXPECT_DOUBLE_EQ(PredictOne(a, x), PredictOne(b, x));
 }
 
 // Central finite differences validate the analytic input gradient for both
@@ -53,14 +82,15 @@ TEST_P(InputGradientProperty, MatchesFiniteDifferences) {
   const double h = 1e-6;
   for (int trial = 0; trial < 10; ++trial) {
     Vector x = {rng.Uniform(), rng.Uniform(), rng.Uniform()};
-    Vector grad = mlp.InputGradient(x);
+    Vector grad = GradientOne(mlp, x);
     ASSERT_EQ(grad.size(), x.size());
     for (size_t d = 0; d < x.size(); ++d) {
       Vector xp = x;
       Vector xm = x;
       xp[d] += h;
       xm[d] -= h;
-      const double fd = (mlp.Predict(xp) - mlp.Predict(xm)) / (2 * h);
+      const double fd =
+          (PredictOne(mlp, xp) - PredictOne(mlp, xm)) / (2 * h);
       EXPECT_NEAR(grad[d], fd, 1e-4) << "dim " << d << " trial " << trial;
     }
   }
@@ -92,7 +122,7 @@ TEST(MlpTest, WeightGradientsMatchFiniteDifferences) {
     probe.Restore(params);
     double loss = 0.0;
     for (int n = 0; n < x.rows(); ++n) {
-      const double err = probe.Predict(x.Row(n)) - y[n];
+      const double err = probe.Forward(x.Row(n))[0] - y[n];
       loss += err * err;
     }
     return loss / x.rows();
@@ -136,30 +166,60 @@ TEST(MlpTest, DropoutUncertaintyIsNonNegativeAndMeanReasonable) {
   Vector x = {0.3, 0.3, 0.3};
   double mean = 0.0;
   double stddev = -1.0;
-  Rng mc(99);
-  mlp.PredictWithUncertainty(x, 200, &mc, &mean, &stddev);
+  UncertaintyOne(mlp, x, 200, 99, &mean, &stddev);
   EXPECT_GE(stddev, 0.0);
   // MC-dropout mean should be in the ballpark of the deterministic output.
-  EXPECT_NEAR(mean, mlp.Predict(x), 5.0 * (stddev + 0.05));
+  EXPECT_NEAR(mean, PredictOne(mlp, x), 5.0 * (stddev + 0.05));
 }
 
-// The batched MC-dropout surface must be bitwise-interchangeable with the
-// scalar one per row (same per-row Rng stream, same fused kernels): the
-// recommendation re-ranker switched to the batch entry point on exactly
-// this contract, for both activations.
+// Seven points, the last two duplicating earlier ones.
+Matrix ReferencePoints() {
+  Matrix x(7, 3);
+  Rng points(11);
+  for (int r = 0; r < 5; ++r) {
+    for (int d = 0; d < 3; ++d) x(r, d) = points.Uniform();
+  }
+  for (int d = 0; d < 3; ++d) {
+    x(5, d) = x(0, d);
+    x(6, d) = x(3, d);
+  }
+  return x;
+}
+
+// The batched forward and backward must reproduce the per-point reference
+// arithmetic (model_reference.h) bitwise, for both activations.
+TEST(MlpTest, BatchedForwardAndGradientMatchReferenceBitwise) {
+  for (const Activation act : {Activation::kRelu, Activation::kTanh}) {
+    Rng rng(7);
+    Mlp mlp(SmallConfig(act), &rng);
+    const Matrix x = ReferencePoints();
+    Vector values;
+    mlp.PredictBatch(x, &values);
+    Matrix grads;
+    Vector fused;
+    mlp.InputGradientBatch(x, &grads, &fused);
+    for (int r = 0; r < x.rows(); ++r) {
+      const double want = ReferenceMlpPredict(mlp, x.Row(r));
+      EXPECT_EQ(values[r], want) << "row " << r;
+      EXPECT_EQ(fused[r], want) << "row " << r;
+      EXPECT_EQ(grads.Row(r), ReferenceMlpInputGradient(mlp, x.Row(r)))
+          << "row " << r;
+    }
+  }
+}
+
+// Batched MC-dropout must match the per-point reference bitwise per row
+// (same per-row Rng stream, same per-element operations), for both
+// activations: the recommendation re-ranker relies on it.
 TEST(MlpTest, BatchedUncertaintyMatchesScalarBitwise) {
   for (const Activation act : {Activation::kRelu, Activation::kTanh}) {
     Rng rng(7);
     MlpConfig cfg = SmallConfig(act);
     cfg.dropout = 0.2;
     Mlp mlp(cfg, &rng);
-    const int rows = 5;
+    const Matrix x = ReferencePoints();
+    const int rows = x.rows();
     const int samples = 16;
-    Matrix x(rows, 3);
-    Rng points(11);
-    for (int r = 0; r < rows; ++r) {
-      for (int d = 0; d < 3; ++d) x(r, d) = points.Uniform();
-    }
     std::vector<Rng> rngs;
     for (int r = 0; r < rows; ++r) rngs.emplace_back(100 + r);
     Vector mean;
@@ -171,7 +231,7 @@ TEST(MlpTest, BatchedUncertaintyMatchesScalarBitwise) {
       Rng mc(100 + r);
       double m = 0.0;
       double s = 0.0;
-      mlp.PredictWithUncertainty(x.Row(r), samples, &mc, &m, &s);
+      ReferenceMlpUncertainty(mlp, x.Row(r), samples, &mc, &m, &s);
       EXPECT_EQ(mean[r], m) << "row " << r;
       EXPECT_EQ(stddev[r], s) << "row " << r;
     }
@@ -185,10 +245,9 @@ TEST(MlpTest, ZeroDropoutGivesZeroUncertainty) {
   Mlp mlp(cfg, &rng);
   double mean = 0.0;
   double stddev = -1.0;
-  Rng mc(1);
-  mlp.PredictWithUncertainty({0.1, 0.2, 0.3}, 32, &mc, &mean, &stddev);
+  UncertaintyOne(mlp, {0.1, 0.2, 0.3}, 32, 1, &mean, &stddev);
   EXPECT_DOUBLE_EQ(stddev, 0.0);
-  EXPECT_DOUBLE_EQ(mean, mlp.Predict({0.1, 0.2, 0.3}));
+  EXPECT_DOUBLE_EQ(mean, PredictOne(mlp, {0.1, 0.2, 0.3}));
 }
 
 TEST(MlpTest, MultiOutputTrainingLearnsVectorTargets) {
@@ -234,7 +293,7 @@ TEST(MlpTest, LayerActivationsMatchManualForward) {
     EXPECT_NEAR(hidden[i], std::tanh(z), 1e-12);
   }
   // The last layer's activation is the network output itself.
-  EXPECT_DOUBLE_EQ(mlp.LayerActivations(x, 1)[0], mlp.Predict(x));
+  EXPECT_DOUBLE_EQ(mlp.LayerActivations(x, 1)[0], mlp.Forward(x)[0]);
 }
 
 TEST(MlpTest, MultiOutputGradientsMatchFiniteDifferences) {
@@ -330,7 +389,7 @@ TEST(TrainTest, LearnsLinearFunction) {
   TrainResult result = TrainMlp(&mlp, x, y, tc, &rng);
   EXPECT_LT(result.best_loss, 1e-3);
   // Generalizes to a held-out point.
-  EXPECT_NEAR(mlp.Predict({0.5, 0.5}), 0.5 * 0.5 - 0.3 * 0.5 + 0.1, 0.05);
+  EXPECT_NEAR(PredictOne(mlp, {0.5, 0.5}), 0.5 * 0.5 - 0.3 * 0.5 + 0.1, 0.05);
 }
 
 TEST(TrainTest, EarlyStoppingHaltsBeforeMaxEpochs) {
@@ -371,7 +430,7 @@ TEST(TrainTest, FineTuningImprovesShiftedTarget) {
   for (double& v : y2) v += 0.2;
   double before = 0.0;
   for (int i = 0; i < n; ++i) {
-    const double e = mlp.Predict(x.Row(i)) - y2[i];
+    const double e = PredictOne(mlp, x.Row(i)) - y2[i];
     before += e * e;
   }
   TrainConfig ft;

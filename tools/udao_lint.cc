@@ -42,6 +42,12 @@
 //      service entry points were removed in favor of Submit() +
 //      RequestTicket (Wait/TryGet/Cancel); this quarantines the old names so
 //      they cannot be reintroduced by a stale branch or a copy-paste.
+//  11. No ObjectiveModel override of the per-point calls (Predict,
+//      InputGradient, PredictWithUncertainty taking a const Vector&) -- the
+//      batch calls are each model's one implementation and the per-point
+//      calls are one-row wrappers around them, so a per-point override would
+//      be a second code path that could drift from the batch one. Matched
+//      across line breaks, since such declarations often wrap.
 //
 // Usage: udao_lint <src-dir>
 // Exits nonzero and prints one "file:line: rule: detail" per finding.
@@ -303,6 +309,26 @@ void CheckStandaloneMutex(const std::string& rel,
   }
 }
 
+// Rule 11: a per-point model-call override. Declarations wrap, so the
+// pattern runs over the whole (comment-stripped) file and the finding is
+// reported at the line where the function name appears.
+void CheckScalarModelOverride(const std::string& rel, const std::string& text,
+                              std::vector<Finding>* findings) {
+  static const std::regex override_re(
+      R"(\b(Predict|InputGradient|PredictWithUncertainty)\s*\(\s*const\s+(udao\s*::\s*)?Vector\s*&[^;{}()]*\)\s*const\s+(override|final)\b)");
+  for (std::sregex_iterator it(text.begin(), text.end(), override_re), end;
+       it != end; ++it) {
+    const auto begin = text.begin() + it->position();
+    const int line =
+        1 + static_cast<int>(std::count(text.begin(), begin, '\n'));
+    findings->push_back(
+        {rel, line, "scalar-model-override",
+         (*it)[1].str() + " is a one-row wrapper in ObjectiveModel; "
+         "implement the batch call (PredictBatch / GradientBatch / "
+         "PredictWithUncertaintyBatch) instead"});
+  }
+}
+
 std::string ExpectedGuard(const std::string& rel) {
   std::string guard = "UDAO_";
   for (const char c : rel) {
@@ -341,8 +367,8 @@ void LintFile(const fs::path& path, const std::string& rel,
   buf << in.rdbuf();
   const std::string raw = buf.str();
   const std::vector<std::string> raw_lines = SplitLines(raw);
-  const std::vector<std::string> lines =
-      SplitLines(StripCommentsAndStrings(raw));
+  const std::string stripped = StripCommentsAndStrings(raw);
+  const std::vector<std::string> lines = SplitLines(stripped);
 
   for (const TokenRule& rule : Rules()) {
     if (rule.exempt != nullptr && rule.exempt(rel)) continue;
@@ -357,6 +383,7 @@ void LintFile(const fs::path& path, const std::string& rel,
     }
   }
   CheckStandaloneMutex(rel, lines, raw_lines, findings);
+  CheckScalarModelOverride(rel, stripped, findings);
   if (path.extension() == ".h") {
     CheckIncludeGuard(rel, raw_lines, findings);
   }
