@@ -10,12 +10,14 @@ namespace udao {
 
 namespace {
 
+#if UDAO_METRICS_ENABLED  // span timing only; compiled out with TraceSpan
 uint64_t NowNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
+#endif
 
 // FNV-1a over the metric name; stable so a metric always maps to one stripe.
 size_t StripeHash(const std::string& name) {
@@ -72,6 +74,7 @@ void AppendJsonNumber(double v, std::string* out) {
   *out += buf;
 }
 
+#if UDAO_METRICS_ENABLED
 // Thread-local trace assembly: the nodes of the in-progress tree plus the
 // index of the innermost open span. When the last open span closes, the
 // finished tree moves to the registry. No locking: each thread owns its own
@@ -87,6 +90,7 @@ ThreadTrace& LocalTrace() {
   thread_local ThreadTrace trace;
   return trace;
 }
+#endif  // UDAO_METRICS_ENABLED
 
 }  // namespace
 

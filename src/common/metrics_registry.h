@@ -180,9 +180,11 @@ class TraceSpan {
 #define UDAO_TRACE_SPAN(name) \
   ::udao::TraceSpan UDAO_TRACE_SPAN_CONCAT(udao_span_, __LINE__)(name)
 #else
-#define UDAO_METRIC_COUNTER_ADD(name, delta) ((void)0)
-#define UDAO_METRIC_GAUGE_SET(name, value) ((void)0)
-#define UDAO_METRIC_OBSERVE(name, value) ((void)0)
+// The value sits in an unevaluated sizeof: nothing runs, yet a local that
+// only feeds a metric still counts as used (no -Wunused-but-set-variable).
+#define UDAO_METRIC_COUNTER_ADD(name, delta) ((void)sizeof(delta))
+#define UDAO_METRIC_GAUGE_SET(name, value) ((void)sizeof(value))
+#define UDAO_METRIC_OBSERVE(name, value) ((void)sizeof(value))
 #define UDAO_TRACE_SPAN(name) ((void)0)
 #endif
 

@@ -3,7 +3,6 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <map>
 #include <ostream>
 #include <utility>
 #include <vector>
@@ -57,7 +56,6 @@ struct StagedTraces {
   std::string file;
   std::string workload;
   std::string objective;
-  size_t cols = 0;
   std::vector<Vector> x;
   Vector y;
 };
@@ -75,12 +73,13 @@ StatusOr<StagedTraces> ParseTraceFile(const fs::path& path) {
   std::getline(in, staged.workload);
   std::getline(in, staged.objective);
   size_t rows = 0;
-  in >> rows >> staged.cols;
-  if (!in || staged.cols == 0 || staged.cols > 4096 || rows > (1u << 22)) {
+  size_t cols = 0;
+  in >> rows >> cols;
+  if (!in || cols == 0 || cols > 4096 || rows > (1u << 22)) {
     return Status::InvalidArgument("corrupt trace file: " + staged.file);
   }
   for (size_t r = 0; r < rows; ++r) {
-    Vector x(staged.cols);
+    Vector x(cols);
     for (double& v : x) in >> v;
     double y = 0.0;
     in >> y;
@@ -156,46 +155,24 @@ Status LoadModelServerData(const std::string& directory, ModelServer* server) {
   if (!fs::is_directory(directory, ec)) {
     return Status::NotFound("no such directory: " + directory);
   }
-  // All or nothing: every file parses and agrees on its dimension with the
-  // resident traces and the other staged files before any row is ingested,
-  // so a failed load leaves the server untouched.
+  // All or nothing: every file parses before any row is ingested, and
+  // IngestBatch checks every row's dimension against the resident traces
+  // and the other files before it appends any, so a failed load leaves the
+  // server untouched and a good one bumps each workload's generation once.
   std::vector<StagedTraces> staged;
-  std::map<std::pair<std::string, std::string>, size_t> dims;
   for (const fs::directory_entry& entry : fs::directory_iterator(directory)) {
     if (entry.path().extension() != ".traces") continue;
     StatusOr<StagedTraces> parsed = ParseTraceFile(entry.path());
     if (!parsed.ok()) return parsed.status();
-    const std::pair<std::string, std::string> key(parsed->workload,
-                                                  parsed->objective);
-    auto known = dims.find(key);
-    if (known == dims.end()) {
-      StatusOr<ModelServer::DataSet> resident =
-          server->GetData(key.first, key.second);
-      const bool has_rows = resident.ok() && !resident->x.empty();
-      known = dims.emplace(key, has_rows ? resident->x.front().size()
-                                         : parsed->cols)
-                  .first;
-    }
-    if (known->second != parsed->cols) {
-      return Status::InvalidArgument(
-          "dimension mismatch in " + parsed->file + ": " +
-          std::to_string(parsed->cols) + " columns, expected " +
-          std::to_string(known->second));
-    }
     staged.push_back(std::move(*parsed));
   }
+  std::vector<ModelServer::TraceRows> sets;
+  sets.reserve(staged.size());
   for (const StagedTraces& file : staged) {
-    for (size_t r = 0; r < file.x.size(); ++r) {
-      if (Status s = server->Ingest(file.workload, file.objective, file.x[r],
-                                    file.y[r]);
-          !s.ok()) {
-        // Only a concurrent Ingest of another dimension can get here.
-        return Status::InvalidArgument("rejected trace in " + file.file +
-                                       ": " + s.ToString());
-      }
-    }
+    sets.push_back({&file.workload, &file.objective, file.x.data(),
+                    file.y.data(), file.x.size()});
   }
-  return Status::Ok();
+  return server->IngestBatch(sets);
 }
 
 }  // namespace udao

@@ -14,28 +14,57 @@ ModelServer::ModelServer(ModelServerConfig config)
 Status ModelServer::Ingest(const std::string& workload_id,
                            const std::string& objective,
                            const Vector& encoded_conf, double value) {
-  if (encoded_conf.empty()) {
-    return Status::InvalidArgument("empty encoded configuration for " +
-                                   workload_id + "/" + objective);
-  }
-  if (!std::isfinite(value)) {
-    return Status::InvalidArgument("non-finite objective value for " +
-                                   workload_id + "/" + objective);
-  }
+  const TraceRows one{&workload_id, &objective, &encoded_conf, &value, 1};
+  return IngestBatch({&one, 1});
+}
+
+Status ModelServer::IngestBatch(std::span<const TraceRows> sets) {
   MutexLock lock(mu_);
-  Entry& entry = entries_[{workload_id, objective}];
-  if (!entry.data.x.empty() &&
-      entry.data.x.front().size() != encoded_conf.size()) {
-    return Status::InvalidArgument(
-        "configuration dimension mismatch for " + workload_id + "/" +
-        objective + ": got " + std::to_string(encoded_conf.size()) +
-        ", expected " + std::to_string(entry.data.x.front().size()));
+  // Each touched pair's dimension: its resident traces', else its first
+  // staged row's. Sorted, so one workload's pairs are adjacent below.
+  std::map<std::pair<std::string, std::string>, size_t> dims;
+  for (const TraceRows& set : sets) {
+    if (set.rows == 0) continue;
+    const auto [dim, fresh] = dims.try_emplace(
+        {*set.workload, *set.objective}, set.x[0].size());
+    auto it = fresh ? entries_.find(dim->first) : entries_.end();
+    if (it != entries_.end() && !it->second.data.x.empty()) {
+      dim->second = it->second.data.x.front().size();
+    }
+    for (size_t r = 0; r < set.rows; ++r) {
+      std::string bad;
+      if (set.x[r].empty()) {
+        bad = "empty encoded configuration";
+      } else if (!std::isfinite(set.y[r])) {
+        bad = "non-finite objective value";
+      } else if (set.x[r].size() != dim->second) {
+        bad = "configuration dimension mismatch (got " +
+              std::to_string(set.x[r].size()) + ", expected " +
+              std::to_string(dim->second) + ")";
+      }
+      if (!bad.empty()) {
+        return Status::InvalidArgument(bad + " for " + *set.workload + "/" +
+                                       *set.objective);
+      }
+    }
   }
-  entry.data.x.push_back(encoded_conf);
-  entry.data.y.push_back(value);
-  ++entry.pending;
-  BumpGeneration(workload_id);
-  UDAO_METRIC_COUNTER_ADD("udao.model.ingests", 1);
+  long long ingested = 0;
+  for (const TraceRows& set : sets) {
+    if (set.rows == 0) continue;
+    Entry& entry = entries_[{*set.workload, *set.objective}];
+    entry.data.x.insert(entry.data.x.end(), set.x, set.x + set.rows);
+    entry.data.y.insert(entry.data.y.end(), set.y, set.y + set.rows);
+    entry.pending += static_cast<int>(set.rows);
+    ingested += static_cast<long long>(set.rows);
+  }
+  // One bump per touched workload, after every row is in (see
+  // GenerationShard for why bumps follow the data).
+  const std::string* bumped = nullptr;
+  for (const auto& [pair, unused] : dims) {
+    if (bumped == nullptr || *bumped != pair.first) BumpGeneration(pair.first);
+    bumped = &pair.first;
+  }
+  UDAO_METRIC_COUNTER_ADD("udao.model.ingests", ingested);
   return Status::Ok();
 }
 

@@ -6,6 +6,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -73,16 +74,32 @@ class ModelServer {
     Vector y;
   };
 
+  /// Borrowed traces of one (workload, objective) pair for IngestBatch:
+  /// `rows` encoded configurations `x[0..rows)` and their observed values
+  /// `y[0..rows)`.
+  struct TraceRows {
+    const std::string* workload = nullptr;
+    const std::string* objective = nullptr;
+    const Vector* x = nullptr;
+    const double* y = nullptr;
+    size_t rows = 0;
+  };
+
   explicit ModelServer(ModelServerConfig config = ModelServerConfig());
 
   /// Records one observation: the encoded configuration and the value of one
-  /// objective for `workload_id`. InvalidArgument when the configuration is
-  /// empty, its dimension disagrees with earlier traces of the pair, or the
-  /// value is non-finite -- ingestion is a public service boundary, so bad
-  /// telemetry is a recoverable Status for the caller, not a process abort.
-  /// Rejected traces change nothing (no generation bump).
+  /// objective for `workload_id`. A one-row IngestBatch, with its contract.
   Status Ingest(const std::string& workload_id, const std::string& objective,
                 const Vector& encoded_conf, double value);
+
+  /// Records every set in `sets` as one update. InvalidArgument when a
+  /// configuration is empty, a value is non-finite, or a dimension disagrees
+  /// with the pair's resident traces or another set of the pair -- bad
+  /// telemetry is a recoverable Status, not a process abort. All rows are
+  /// checked under one hold of the server lock before any is appended: a
+  /// rejected batch changes nothing, no reader sees part of an accepted one,
+  /// and each workload it touches has its generation bumped once.
+  Status IngestBatch(std::span<const TraceRows> sets);
 
   /// Records the runtime metric vector of one run (used for OtterTune-style
   /// workload mapping). InvalidArgument when the vector's dimension
@@ -115,12 +132,13 @@ class ModelServer {
   int NumTraces(const std::string& workload_id,
                 const std::string& objective) const;
 
-  /// Monotone per-workload data/model generation: bumped by every Ingest()
-  /// for the workload and again whenever GetModel retrains or fine-tunes one
-  /// of its models. Serving-layer caches tag entries with the generation they
-  /// were computed under and compare against this to detect staleness in one
-  /// cheap map lookup -- no model access, no training. Starts at 0 for
-  /// workloads never seen.
+  /// Monotone per-workload data/model generation: bumped once by every
+  /// Ingest()/IngestBatch() that adds traces of the workload, and again
+  /// whenever GetModel retrains or fine-tunes one of its models.
+  /// Serving-layer caches tag entries with the generation they were computed
+  /// under and compare against this to detect staleness in one cheap map
+  /// lookup -- no model access, no training. Starts at 0 for workloads never
+  /// seen.
   ///
   /// Reads take only the workload's generation shard lock, NEVER mu_: the
   /// serving warm path probes this per request, and making it wait behind a

@@ -72,7 +72,9 @@ void AppendCo(std::string* key, const CoProblem& co) {
 /// One blocked SolveBatch call. Lives on the submitter's stack for the whole
 /// exchange (the submitter waits for `done`), so borrowing its problem,
 /// CoProblem storage, and StopToken by pointer is safe. `remaining`, the
-/// result slots, and `done` are guarded by the coalescer's mu_.
+/// result slots, and `done` are guarded by the coalescer's mu_. `remaining`
+/// counts undelivered slots plus one hold, released by the flush that takes
+/// the submission once it has counted its work (see Flush).
 struct SolveCoalescer::Submission {
   const MooProblem* problem = nullptr;
   const std::vector<CoProblem>* cos = nullptr;
@@ -86,6 +88,18 @@ struct SolveCoalescer::Submission {
 
 SolveCoalescer::SolveCoalescer(SolveCoalescerConfig config)
     : config_(config), solver_(config.mogd),
+      counters_({{&Stats::submissions, "udao.coalescer.submissions"},
+                 {&Stats::problems, "udao.coalescer.problems"},
+                 {&Stats::flushes, "udao.coalescer.flushes"},
+                 {&Stats::fuse_groups, "udao.coalescer.fuse_groups"},
+                 {&Stats::fused_chunks, "udao.coalescer.fused_chunks"},
+                 {&Stats::fused_problems, "udao.coalescer.fused_problems"},
+                 {&Stats::inline_fallbacks, "udao.coalescer.inline_fallbacks"},
+                 {&Stats::dedup_hits, "udao.coalescer.dedup_hits"},
+                 {&Stats::memo_hits, "udao.coalescer.memo_hits"},
+                 {&Stats::min_solves, "udao.coalescer.min_solves"},
+                 {&Stats::min_dedup_hits, "udao.coalescer.min_dedup_hits"},
+                 {&Stats::min_memo_hits, "udao.coalescer.min_memo_hits"}}),
       flusher_(std::make_unique<ThreadPool>(1)) {
   UDAO_CHECK_GT(config_.max_batch, 0);
   UDAO_CHECK_GE(config_.max_wait_us, 0.0);
@@ -124,25 +138,23 @@ std::vector<std::optional<CoResult>> SolveCoalescer::SolveBatch(
   sub.stop = &stop;
   sub.results.resize(problems.size());
   sub.perfs.resize(problems.size());
-  sub.remaining = static_cast<int>(problems.size());
+  sub.remaining = static_cast<int>(problems.size()) + 1;
   {
     MutexLock lock(mu_);
-    if (shutdown_) {
-      inline_solve = true;
-      ++stats_.inline_fallbacks;
-    } else {
+    inline_solve = shutdown_;
+    if (!inline_solve) {
       sub.enqueued = Clock::now();
       pending_.push_back(&sub);
       pending_problems_ += static_cast<int>(problems.size());
-      ++stats_.submissions;
-      stats_.problems += static_cast<long long>(problems.size());
     }
   }
   if (inline_solve) {
+    counters_.Add(&Stats::inline_fallbacks);
     return solver_.SolveBatch(problem, problems, perf, stop);
   }
   flush_cv_.NotifyOne();
-  UDAO_METRIC_COUNTER_ADD("udao.coalescer.submissions", 1);
+  counters_.Add(&Stats::submissions);
+  counters_.Add(&Stats::problems, static_cast<long long>(problems.size()));
 
   // Block until every slot is delivered. Bounded re-check period (the
   // notify makes the common case prompt; the bound makes a lost wakeup a
@@ -177,28 +189,21 @@ CoResult SolveCoalescer::Minimize(const MooProblem& problem, int target,
   AppendPod(&key, target);
 
   std::shared_ptr<MinFlight> flight;
+  std::optional<CoResult> memoized;
   bool representative = false;
   bool inline_solve = false;
   {
     MutexLock lock(mu_);
-    if (shutdown_) {
-      ++stats_.inline_fallbacks;
-      inline_solve = true;
-    } else {
-      ++stats_.min_solves;
-      if (config_.memo_capacity > 0) {
-        auto mit = memo_.find(key);
-        if (mit != memo_.end()) {
-          memo_lru_.splice(memo_lru_.end(), memo_lru_, mit->second.lru);
-          ++stats_.min_memo_hits;
-          UDAO_CHECK(mit->second.result.has_value());
-          return *mit->second.result;
-        }
-      }
-      auto iit = min_inflight_.find(key);
-      if (iit != min_inflight_.end()) {
+    inline_solve = shutdown_;
+    if (!inline_solve) {
+      // The memo stays empty when memo_capacity is 0 (see MemoInsertLocked).
+      if (auto mit = memo_.find(key); mit != memo_.end()) {
+        memo_lru_.splice(memo_lru_.end(), memo_lru_, mit->second.lru);
+        UDAO_CHECK(mit->second.result.has_value());
+        memoized = mit->second.result;
+      } else if (auto iit = min_inflight_.find(key);
+                 iit != min_inflight_.end()) {
         flight = iit->second;
-        ++stats_.min_dedup_hits;
       } else {
         flight = std::make_shared<MinFlight>();
         min_inflight_.emplace(key, flight);
@@ -207,13 +212,19 @@ CoResult SolveCoalescer::Minimize(const MooProblem& problem, int target,
     }
   }
   if (inline_solve) {
+    counters_.Add(&Stats::inline_fallbacks);
     return solver_.Minimize(problem, target, perf, stop);
+  }
+  counters_.Add(&Stats::min_solves);
+  if (memoized.has_value()) {
+    counters_.Add(&Stats::min_memo_hits);
+    return *memoized;
   }
   if (!representative) {
     // Join the in-flight twin. Like CO singleflight waiters, joiners get no
     // perf contribution -- the representative's caller owns the counters of
     // the one descent that actually ran.
-    UDAO_METRIC_COUNTER_ADD("udao.coalescer.min_dedup_hits", 1);
+    counters_.Add(&Stats::min_dedup_hits);
     MutexLock lock(mu_);
     while (!flight->done) {
       done_cv_.WaitFor(mu_, std::chrono::milliseconds(10));
@@ -232,13 +243,8 @@ CoResult SolveCoalescer::Minimize(const MooProblem& problem, int target,
     min_inflight_.erase(key);
     flight->result = result;
     flight->done = true;
-    std::vector<std::shared_ptr<const ObjectiveModel>> pins;
-    pins.reserve(problem.NumObjectives());
-    for (int j = 0; j < problem.NumObjectives(); ++j) {
-      pins.push_back(problem.objective(j).model);
-    }
     // Never-stopped bits equal an unstopped solo run -- safe to memoize.
-    MemoInsertLocked(std::move(key), result, std::move(pins));
+    MemoInsertLocked(std::move(key), result, problem);
     done_cv_.NotifyAll();
   }
   if (perf != nullptr) perf->Merge(local);
@@ -270,9 +276,7 @@ void SolveCoalescer::FlusherLoop() {
       batch.swap(pending_);
       batch_problems = pending_problems_;
       pending_problems_ = 0;
-      ++stats_.flushes;
     }
-    UDAO_METRIC_COUNTER_ADD("udao.coalescer.flushes", 1);
     UDAO_METRIC_OBSERVE("udao.coalescer.flush_problems",
                         static_cast<double>(batch_problems));
     Flush(std::move(batch));
@@ -289,8 +293,6 @@ void SolveCoalescer::Flush(std::vector<Submission*> batch) {
     /// the registry entry.
     std::shared_ptr<SharedSlot> slot;
     std::string dedup_key;
-    /// Models pinned for the memo entry (see MemoEntry::pins).
-    std::vector<std::shared_ptr<const ObjectiveModel>> pins;
   };
   // Group by fuse key, preserving first-seen order so dispatch order is a
   // function of arrival order alone. Along the way, identical subproblems
@@ -318,59 +320,30 @@ void SolveCoalescer::Flush(std::vector<Submission*> batch) {
         AppendSpaceStructure(&dkey, sub->problem->space());
         AppendPod(&dkey, i);
         AppendCo(&dkey, (*sub->cos)[i]);
-        bool served = false;
         MutexLock lock(mu_);
-        if (config_.memo_capacity > 0) {
-          auto mit = memo_.find(dkey);
-          if (mit != memo_.end()) {
-            memo_lru_.splice(memo_lru_.end(), memo_lru_, mit->second.lru);
-            sub->results[i] = mit->second.result;
-            if (--sub->remaining == 0) {
-              sub->done = true;
-              done_cv_.NotifyAll();
-            }
-            ++stats_.memo_hits;
-            ++memo_hits;
-            served = true;
-          }
+        // The memo stays empty when memo_capacity is 0.
+        auto mit = memo_.find(dkey);
+        if (mit != memo_.end()) {
+          memo_lru_.splice(memo_lru_.end(), memo_lru_, mit->second.lru);
+          sub->results[i] = mit->second.result;
+          --sub->remaining;  // never 0 here: this flush's hold is still on
+          ++memo_hits;
+          continue;
         }
-        if (!served) {
-          auto iit = inflight_.find(dkey);
-          if (iit != inflight_.end()) {
-            iit->second->waiters.emplace_back(sub, i);
-            ++stats_.dedup_hits;
-            ++dedup_hits;
-            served = true;
-          } else {
-            slot = std::make_shared<SharedSlot>();
-            inflight_.emplace(dkey, slot);
-          }
+        auto iit = inflight_.find(dkey);
+        if (iit != inflight_.end()) {
+          iit->second->waiters.emplace_back(sub, i);
+          ++dedup_hits;
+          continue;
         }
-        if (served) continue;
+        slot = std::make_shared<SharedSlot>();
+        inflight_.emplace(dkey, slot);
       }
       auto [it, inserted] = groups.try_emplace(fuse_key);
       if (inserted) order.push_back(it->first);
-      Unit unit{sub, i, std::move(slot), std::move(dkey), {}};
-      if (unit.slot != nullptr && config_.memo_capacity > 0) {
-        unit.pins.reserve(sub->problem->NumObjectives());
-        for (int j = 0; j < sub->problem->NumObjectives(); ++j) {
-          unit.pins.push_back(sub->problem->objective(j).model);
-        }
-      }
-      it->second.push_back(std::move(unit));
+      it->second.push_back(Unit{sub, i, std::move(slot), std::move(dkey)});
       ++total;
     }
-  }
-  if (memo_hits > 0) {
-    UDAO_METRIC_COUNTER_ADD("udao.coalescer.memo_hits", memo_hits);
-  }
-  if (dedup_hits > 0) {
-    UDAO_METRIC_COUNTER_ADD("udao.coalescer.dedup_hits", dedup_hits);
-  }
-  if (total == 0) return;
-  {
-    MutexLock lock(mu_);
-    stats_.fuse_groups += static_cast<long long>(groups.size());
   }
 
   // Split each group into ~pool-width chunks: a lone submission still fans
@@ -380,6 +353,8 @@ void SolveCoalescer::Flush(std::vector<Submission*> batch) {
       config_.mogd.pool != nullptr ? config_.mogd.pool->num_threads() : 1;
   const int chunk_size = std::max(1, (total + threads - 1) / threads);
 
+  long long fused_chunks = 0;
+  long long fused_problems = 0;
   for (const std::string& key : order) {
     std::vector<Unit>& units = groups[key];
     for (size_t begin = 0; begin < units.size(); begin += chunk_size) {
@@ -395,10 +370,10 @@ void SolveCoalescer::Flush(std::vector<Submission*> batch) {
       {
         MutexLock lock(mu_);
         ++inflight_chunks_;
-        ++stats_.fused_chunks;
-        if (cross_request) {
-          stats_.fused_problems += static_cast<long long>(chunk.size());
-        }
+      }
+      ++fused_chunks;
+      if (cross_request) {
+        fused_problems += static_cast<long long>(chunk.size());
       }
       UDAO_METRIC_OBSERVE("udao.coalescer.chunk_problems",
                           static_cast<double>(chunk.size()));
@@ -443,9 +418,10 @@ void SolveCoalescer::Flush(std::vector<Submission*> batch) {
               }
               // A registered slot's governing stop is kNeverStop, so these
               // bits were never truncated and equal an unstopped solo run --
-              // safe to memoize.
+              // safe to memoize. The submitter, blocked until this slot is
+              // delivered below, keeps the problem alive.
               MemoInsertLocked(std::move(u.dedup_key), results[i],
-                               std::move(u.pins));
+                               *u.sub->problem);
             }
             u.sub->results[u.index] = std::move(results[i]);
             u.sub->perfs[u.index] = perfs[i];
@@ -467,11 +443,27 @@ void SolveCoalescer::Flush(std::vector<Submission*> batch) {
       }
     }
   }
+
+  // Count the flush, then release its hold on every submission of the
+  // batch. No submission can complete before the release, so a SolveBatch
+  // that returns has been counted in full, and no registry write happens
+  // under mu_.
+  counters_.Add(&Stats::flushes);
+  counters_.Add(&Stats::fuse_groups, static_cast<long long>(groups.size()));
+  counters_.Add(&Stats::fused_chunks, fused_chunks);
+  counters_.Add(&Stats::fused_problems, fused_problems);
+  counters_.Add(&Stats::memo_hits, memo_hits);
+  counters_.Add(&Stats::dedup_hits, dedup_hits);
+  MutexLock lock(mu_);
+  for (Submission* sub : batch) {
+    if (--sub->remaining == 0) sub->done = true;
+  }
+  done_cv_.NotifyAll();
 }
 
-void SolveCoalescer::MemoInsertLocked(
-    std::string key, std::optional<CoResult> result,
-    std::vector<std::shared_ptr<const ObjectiveModel>> pins) {
+void SolveCoalescer::MemoInsertLocked(std::string key,
+                                      std::optional<CoResult> result,
+                                      const MooProblem& problem) {
   if (config_.memo_capacity <= 0) return;
   auto [it, inserted] = memo_.try_emplace(std::move(key));
   // Two in-flight flushes can both solve a key that was open when each
@@ -479,7 +471,9 @@ void SolveCoalescer::MemoInsertLocked(
   // its LRU position) is correct.
   if (!inserted) return;
   it->second.result = std::move(result);
-  it->second.pins = std::move(pins);
+  for (int j = 0; j < problem.NumObjectives(); ++j) {
+    it->second.pins.push_back(problem.objective(j).model);
+  }
   memo_lru_.push_back(it->first);
   it->second.lru = std::prev(memo_lru_.end());
   while (static_cast<int>(memo_.size()) > config_.memo_capacity) {
@@ -489,8 +483,7 @@ void SolveCoalescer::MemoInsertLocked(
 }
 
 SolveCoalescer::Stats SolveCoalescer::stats() const {
-  MutexLock lock(mu_);
-  return stats_;
+  return counters_.Read();
 }
 
 }  // namespace udao

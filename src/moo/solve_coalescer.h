@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/counter_set.h"
 #include "common/sync.h"
 #include "common/thread_pool.h"
 #include "moo/mogd.h"
@@ -101,8 +102,7 @@ class SolveCoalescer : public CoBatchSolver {
 
   /// CoBatchSolver surface: blocks until every problem in `problems` is
   /// solved, possibly fused with concurrent submissions. Falls back to an
-  /// inline MogdSolver::SolveBatch when batching is off in the config or the
-  /// coalescer is shutting down.
+  /// inline MogdSolver::SolveBatch when the coalescer is shutting down.
   std::vector<std::optional<CoResult>> SolveBatch(
       const MooProblem& problem, const std::vector<CoProblem>& problems,
       SolvePerf* perf, const StopToken& stop) override;
@@ -121,7 +121,9 @@ class SolveCoalescer : public CoBatchSolver {
   CoResult Minimize(const MooProblem& problem, int target, SolvePerf* perf,
                     const StopToken& stop) override;
 
-  /// Monotonic counters, for stats endpoints and the fusion tests.
+  /// Monotonic counters, for stats endpoints and the fusion tests. Each
+  /// field is this coalescer's count of the registry counter
+  /// `udao.coalescer.<field>`.
   struct Stats {
     long long submissions = 0;      ///< SolveBatch calls that enqueued.
     long long problems = 0;         ///< CO problems across submissions.
@@ -180,15 +182,16 @@ class SolveCoalescer : public CoBatchSolver {
   /// Body of the long-lived flusher task (runs on flusher_).
   void FlusherLoop();
   /// Groups `batch` by fuse key (deduplicating identical subproblems against
-  /// the memo and within the window), chunks each group, and dispatches the
-  /// chunks. Called by the flusher with mu_ NOT held.
+  /// the memo and within the window), chunks each group, dispatches the
+  /// chunks, counts the flush, and then releases its hold on each submission
+  /// of `batch`. Called by the flusher with mu_ NOT held.
   void Flush(std::vector<Submission*> batch);
-  /// Inserts a solved subproblem into the memo, evicting LRU entries past
-  /// capacity. Keeps the incumbent on key collision (two in-flight flushes
-  /// can race to solve the same key; the bits agree).
+  /// Inserts a solved subproblem of `problem` into the memo, pinning its
+  /// models, and evicts LRU entries past capacity. Keeps the incumbent on
+  /// key collision (two in-flight flushes can race to solve the same key;
+  /// the bits agree).
   void MemoInsertLocked(std::string key, std::optional<CoResult> result,
-                        std::vector<std::shared_ptr<const ObjectiveModel>> pins)
-      UDAO_REQUIRES(mu_);
+                        const MooProblem& problem) UDAO_REQUIRES(mu_);
 
   const SolveCoalescerConfig config_;
   /// Solver all fused chunks run on; shares config_.mogd (and its pool
@@ -205,7 +208,9 @@ class SolveCoalescer : public CoBatchSolver {
   int pending_problems_ UDAO_GUARDED_BY(mu_) = 0;
   int inflight_chunks_ UDAO_GUARDED_BY(mu_) = 0;
   bool shutdown_ UDAO_GUARDED_BY(mu_) = false;
-  Stats stats_ UDAO_GUARDED_BY(mu_);
+  /// Backs stats(). Bumped outside mu_, so a registry write never extends a
+  /// critical section.
+  CounterSet<Stats> counters_;
   /// Solved-subproblem memo: key -> entry, with recency order in memo_lru_
   /// (front = coldest).
   std::unordered_map<std::string, MemoEntry> memo_ UDAO_GUARDED_BY(mu_);

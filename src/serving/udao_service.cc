@@ -14,21 +14,13 @@
 namespace udao {
 namespace {
 
+using Stats = UdaoServiceStats;
+using ShardStats = UdaoServiceShardStats;
+
 double NowMs(const std::chrono::steady_clock::time_point& since) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - since)
       .count();
-}
-
-// Per-shard metric names are built at construction time, so they cannot go
-// through the UDAO_METRIC_* macros (which require literal names); they hit
-// the registry directly, compiled out with the rest of the instrumentation.
-void EmitShardCounter(const std::string& name) {
-#if UDAO_METRICS_ENABLED
-  MetricsRegistry::Global().AddCounter(name, 1);
-#else
-  (void)name;
-#endif
 }
 
 // Takes one admission-queue slot unless `max_depth` (> 0) are already
@@ -51,9 +43,8 @@ bool TryReserveSlot(std::atomic<int>* depth, int max_depth) {
 
 }  // namespace
 
-/// Shared result slot behind every copy of one ticket. The service-side
-/// delivery callback holds a shared_ptr, so the state outlives both an
-/// early-destroyed ticket and an early-destroyed service request.
+/// Shared result slot behind every copy of one ticket. The admission task
+/// holds a shared_ptr, so the state outlives an early-destroyed ticket.
 struct RequestTicket::State {
   Mutex mu;
   CondVar cv;
@@ -96,6 +87,19 @@ UdaoService::UdaoService(ModelServer* server, UdaoServiceConfig config)
     : server_(server),
       config_(config),
       udao_(server, config.udao),
+      counters_({{&Stats::requests, "udao.service.requests"},
+                 {&Stats::errors, "udao.service.errors"},
+                 {&Stats::sheds, "udao.service.sheds"},
+                 {&Stats::degraded, "udao.service.degraded"},
+                 {&Stats::deadline_exceeded, "udao.service.deadline_exceeded"},
+                 {&Stats::stale_serves, "udao.service.stale_serves"},
+                 {&Stats::degraded_solves, "udao.service.degraded_solves"},
+                 {&Stats::stage_refines, "udao.service.stage_refines"},
+                 {&Stats::stage_refine_fallbacks,
+                  "udao.service.stage_refine_fallbacks"},
+                 {&Stats::densify_runs, "udao.densify.runs"},
+                 {&Stats::densify_stopped, "udao.densify.stopped"},
+                 {&Stats::densify_memo_hits, "udao.densify.memo_hits"}}),
       admission_(config.admission_threads) {
   UDAO_CHECK(server_ != nullptr);
   // The canonical SolverOptions serialization: every field that can change
@@ -106,13 +110,7 @@ UdaoService::UdaoService(ModelServer* server, UdaoServiceConfig config)
   const int num_shards = std::max(1, config_.cache_shards);
   shards_.reserve(num_shards);
   for (int i = 0; i < num_shards; ++i) {
-    auto shard = std::make_unique<CacheShard>();
-    const std::string prefix = "udao.service.shard" + std::to_string(i) + ".";
-    shard->hits_metric = prefix + "cache_hits";
-    shard->misses_metric = prefix + "cache_misses";
-    shard->invalidations_metric = prefix + "invalidations";
-    shard->evictions_metric = prefix + "evictions";
-    shards_.push_back(std::move(shard));
+    shards_.push_back(std::make_unique<CacheShard>());
   }
   per_shard_capacity_ =
       config_.frontier_cache_capacity > 0
@@ -197,7 +195,7 @@ std::string UdaoService::CacheKey(const UdaoRequest& request) const {
 
 UdaoService::CacheShard& UdaoService::ShardFor(
     const std::string& workload_id) const {
-  return *shards_[std::hash<std::string>{}(workload_id) % shards_.size()];
+  return *shards_[ShardOf(workload_id)];
 }
 
 int UdaoService::ShardOf(const std::string& workload_id) const {
@@ -206,10 +204,10 @@ int UdaoService::ShardOf(const std::string& workload_id) const {
 }
 
 bool UdaoService::Lookup(CacheShard& shard, const std::string& key,
-                         uint64_t generation,
+                         std::optional<uint64_t> generation,
                          std::shared_ptr<const MooProblem>* problem,
                          std::shared_ptr<const PfResult>* frontier,
-                         std::shared_ptr<RecommendMemo>* memo, bool emit) {
+                         std::shared_ptr<RecommendMemo>* memo) {
   // Warm path: probe the shard's last published snapshot, no lock. The
   // snapshot mirrors the live map after every mutation, so the only race is
   // with a concurrent Insert -- which degrades to a spurious miss, and
@@ -219,18 +217,14 @@ bool UdaoService::Lookup(CacheShard& shard, const std::string& key,
   if (snap == nullptr) return false;
   const auto it = snap->find(key);
   if (it == snap->end()) return false;
-  if (it->second.generation != generation) {
+  if (generation.has_value() && it->second.generation != *generation) {
     // The workload saw new traces (or a retrain) since this frontier was
     // computed: the models behind it are no longer the latest available, so
     // report a miss and let the caller recompute. The entry itself stays --
-    // LookupAnyGeneration serves it as a last resort under the stale-cache
-    // shed policy, and the recompute's Insert overwrites it with the newer
+    // ServeStale serves it as a last resort under the stale-cache shed
+    // policy, and the recompute's Insert overwrites it with the newer
     // generation.
-    shard.invalidations.fetch_add(1, std::memory_order_relaxed);
-    if (emit) {
-      UDAO_METRIC_COUNTER_ADD("udao.service.invalidations", 1);
-      EmitShardCounter(shard.invalidations_metric);
-    }
+    shard.counters.Add(&ShardStats::invalidations);
     return false;
   }
   // Recency refresh: the tick cell is shared between the live map and every
@@ -239,23 +233,7 @@ bool UdaoService::Lookup(CacheShard& shard, const std::string& key,
                          std::memory_order_relaxed);
   *problem = it->second.problem;
   *frontier = it->second.frontier;
-  *memo = it->second.memo;
-  return true;
-}
-
-bool UdaoService::LookupAnyGeneration(
-    CacheShard& shard, const std::string& key,
-    std::shared_ptr<const MooProblem>* problem,
-    std::shared_ptr<const PfResult>* frontier) {
-  const std::shared_ptr<const Snapshot> snap =
-      shard.snapshot.load(std::memory_order_acquire);
-  if (snap == nullptr) return false;
-  const auto it = snap->find(key);
-  if (it == snap->end()) return false;
-  it->second.tick->store(lru_tick_.fetch_add(1, std::memory_order_relaxed) + 1,
-                         std::memory_order_relaxed);
-  *problem = it->second.problem;
-  *frontier = it->second.frontier;
+  if (memo != nullptr) *memo = it->second.memo;
   return true;
 }
 
@@ -301,10 +279,8 @@ void UdaoService::Insert(CacheShard& shard, const std::string& key,
   shard.cache.emplace(key, std::move(entry));
   EvictOverflowLocked(shard);
   RepublishLocked(shard);
-  cache_entries_.store(CountEntries(), std::memory_order_relaxed);
-  UDAO_METRIC_GAUGE_SET(
-      "udao.service.cache_size",
-      static_cast<double>(cache_entries_.load(std::memory_order_relaxed)));
+  UDAO_METRIC_GAUGE_SET("udao.service.cache_size",
+                        static_cast<double>(CacheSize()));
 }
 
 void UdaoService::EvictOverflowLocked(CacheShard& shard) {
@@ -323,9 +299,7 @@ void UdaoService::EvictOverflowLocked(CacheShard& shard) {
       }
     }
     shard.cache.erase(victim);
-    shard.evictions.fetch_add(1, std::memory_order_relaxed);
-    UDAO_METRIC_COUNTER_ADD("udao.service.evictions", 1);
-    EmitShardCounter(shard.evictions_metric);
+    shard.counters.Add(&ShardStats::evictions);
   }
 }
 
@@ -340,13 +314,12 @@ StatusOr<UdaoRecommendation> UdaoService::ServeStale(
   std::shared_ptr<const MooProblem> problem;
   std::shared_ptr<const PfResult> frontier;
   CacheShard& shard = ShardFor(request.workload_id);
-  if (!LookupAnyGeneration(shard, key, &problem, &frontier)) {
+  if (!Lookup(shard, key, /*generation=*/std::nullopt, &problem, &frontier,
+              /*memo=*/nullptr)) {
     return Status::Unavailable(
         "overloaded and no cached frontier to degrade to");
   }
-  if (request.options.metrics) {
-    UDAO_METRIC_COUNTER_ADD("udao.service.stale_serves", 1);
-  }
+  counters_.Add(&Stats::stale_serves);
   StatusOr<UdaoRecommendation> rec =
       udao_.Recommend(request, *problem, *frontier);
   if (!rec.ok()) return rec.status();
@@ -361,7 +334,6 @@ StatusOr<UdaoRecommendation> UdaoService::Handle(const UdaoRequest& request,
                                                  double queue_wait_ms) {
   UDAO_TRACE_SPAN("service.handle");
   const auto t0 = std::chrono::steady_clock::now();
-  const bool emit = request.options.metrics;
 
   Status valid = Udao::Validate(request);
   if (!valid.ok()) return valid;
@@ -384,19 +356,11 @@ StatusOr<UdaoRecommendation> UdaoService::Handle(const UdaoRequest& request,
   std::shared_ptr<RecommendMemo> memo;
   const bool hit =
       config_.frontier_cache_capacity > 0 &&
-      Lookup(shard, key, generation, &problem, &frontier, &memo, emit);
+      Lookup(shard, key, generation, &problem, &frontier, &memo);
   if (hit) {
-    shard.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    if (emit) {
-      UDAO_METRIC_COUNTER_ADD("udao.service.cache_hits", 1);
-      EmitShardCounter(shard.hits_metric);
-    }
+    shard.counters.Add(&ShardStats::cache_hits);
   } else {
-    shard.cache_misses.fetch_add(1, std::memory_order_relaxed);
-    if (emit) {
-      UDAO_METRIC_COUNTER_ADD("udao.service.cache_misses", 1);
-      EmitShardCounter(shard.misses_metric);
-    }
+    shard.counters.Add(&ShardStats::cache_misses);
     StatusOr<std::vector<ObjectiveSpec>> objectives =
         udao_.ResolveObjectives(request);
     if (!objectives.ok()) {
@@ -439,9 +403,7 @@ StatusOr<UdaoRecommendation> UdaoService::Handle(const UdaoRequest& request,
         return Status::DeadlineExceeded(
             "budget expired before any Pareto point was found");
       }
-      if (emit) {
-        UDAO_METRIC_COUNTER_ADD("udao.service.degraded_solves", 1);
-      }
+      counters_.Add(&Stats::degraded_solves);
     } else {
       // Empty (infeasible) frontiers are cached too: re-asking the same
       // constraints deterministically re-derives the same emptiness. Only
@@ -484,7 +446,7 @@ StatusOr<UdaoRecommendation> UdaoService::Handle(const UdaoRequest& request,
       if (it != memo->variants.end()) {
         frontier = it->second.frontier;
         ranked = it->second.ranked;
-        if (emit) UDAO_METRIC_COUNTER_ADD("udao.densify.memo_hits", 1);
+        counters_.Add(&Stats::densify_memo_hits);
       }
     }
     if (ranked == nullptr) {
@@ -507,13 +469,9 @@ StatusOr<UdaoRecommendation> UdaoService::Handle(const UdaoRequest& request,
       }
       frontier = std::move(densified);
       ranked = std::move(densified_ranked);
-      if (emit) {
-        UDAO_METRIC_COUNTER_ADD("udao.densify.runs", 1);
-        if (dstats.stopped) {
-          UDAO_METRIC_COUNTER_ADD("udao.densify.stopped", 1);
-        }
-        UDAO_METRIC_OBSERVE("udao.densify.ms", NowMs(d0));
-      }
+      counters_.Add(&Stats::densify_runs);
+      if (dstats.stopped) counters_.Add(&Stats::densify_stopped);
+      UDAO_METRIC_OBSERVE("udao.densify.ms", NowMs(d0));
     }
   }
 
@@ -540,7 +498,7 @@ StatusOr<UdaoRecommendation> UdaoService::Handle(const UdaoRequest& request,
   StatusOr<UdaoRecommendation> rec =
       udao_.Recommend(request, *problem, *frontier, ranked.get());
   if (!rec.ok()) {
-    if (emit) UDAO_METRIC_OBSERVE("udao.service.e2e_ms", NowMs(t0));
+    UDAO_METRIC_OBSERVE("udao.service.e2e_ms", NowMs(t0));
     return rec.status();
   }
   // Stage-level refinement (step 4, for kStage requests): per-stage knobs
@@ -569,40 +527,46 @@ StatusOr<UdaoRecommendation> UdaoService::Handle(const UdaoRequest& request,
       for (int s = 0; s < static_cast<int>(stages.size()); ++s) {
         rec->stage_confs.push_back(rec->stage_overlay.Resolve(s, rec->conf_raw));
       }
-      if (emit) UDAO_METRIC_COUNTER_ADD("udao.service.stage_refines", 1);
-    } else if (emit) {
-      UDAO_METRIC_COUNTER_ADD("udao.service.stage_refine_fallbacks", 1);
+      counters_.Add(&Stats::stage_refines);
+    } else {
+      counters_.Add(&Stats::stage_refine_fallbacks);
     }
-    if (emit) UDAO_METRIC_OBSERVE("udao.service.stage_refine_ms", NowMs(a0));
+    UDAO_METRIC_OBSERVE("udao.service.stage_refine_ms", NowMs(a0));
   }
   rec->seconds = NowMs(t0) / 1e3;
   rec->queue_wait_ms = queue_wait_ms;
-  if (emit) UDAO_METRIC_OBSERVE("udao.service.e2e_ms", NowMs(t0));
+  UDAO_METRIC_OBSERVE("udao.service.e2e_ms", NowMs(t0));
   return rec;
 }
 
-void UdaoService::AccountResponse(
-    const StatusOr<UdaoRecommendation>& response, bool emit) {
+void UdaoService::Deliver(RequestTicket::State& state,
+                          StatusOr<UdaoRecommendation> response) {
   if (response.ok()) {
-    if (response->degraded) {
-      degraded_.fetch_add(1, std::memory_order_relaxed);
-      if (emit) UDAO_METRIC_COUNTER_ADD("udao.service.degraded", 1);
+    if (response->degraded) counters_.Add(&Stats::degraded);
+  } else {
+    counters_.Add(&Stats::errors);
+    if (response.status().code() == StatusCode::kDeadlineExceeded) {
+      counters_.Add(&Stats::deadline_exceeded);
     }
-    return;
   }
-  errors_.fetch_add(1, std::memory_order_relaxed);
-  if (emit) UDAO_METRIC_COUNTER_ADD("udao.service.errors", 1);
-  if (response.status().code() == StatusCode::kDeadlineExceeded) {
-    deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-    if (emit) UDAO_METRIC_COUNTER_ADD("udao.service.deadline_exceeded", 1);
-  }
+  // Notify while holding the lock: a Wait()er may otherwise observe the
+  // result and destroy the last ticket copy before NotifyAll touches cv.
+  MutexLock lock(state.mu);
+  state.result.emplace(std::move(response));
+  state.cv.NotifyAll();
 }
 
-void UdaoService::SubmitInternal(const UdaoRequest& request, Callback done) {
-  UDAO_CHECK(done != nullptr);
-  const bool emit = request.options.metrics;
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  if (emit) UDAO_METRIC_COUNTER_ADD("udao.service.requests", 1);
+RequestTicket UdaoService::Submit(const UdaoRequest& request) {
+  RequestTicket ticket;
+  ticket.state_ = std::make_shared<RequestTicket::State>();
+  std::shared_ptr<RequestTicket::State> state = ticket.state_;
+  counters_.Add(&Stats::requests);
+  UdaoRequest composed = request;
+  // Either source firing -- the caller's own token or the ticket's Cancel()
+  // -- stops this request's solve; composing here keeps the solve stack
+  // single-token.
+  composed.options.cancel = CancellationToken::Any(
+      request.options.cancel, state->cancel.token());
   const ShedPolicy shed =
       request.options.shed_policy.value_or(config_.shed_policy);
 
@@ -611,27 +575,19 @@ void UdaoService::SubmitInternal(const UdaoRequest& request, Callback done) {
   // the bound; the other policies answer on the calling thread right here.
   bool degrade_admission = false;
   if (!TryReserveSlot(&queue_depth_, config_.max_queue_depth)) {
-    sheds_.fetch_add(1, std::memory_order_relaxed);
-    if (emit) UDAO_METRIC_COUNTER_ADD("udao.service.sheds", 1);
+    counters_.Add(&Stats::sheds);
     switch (shed) {
-      case ShedPolicy::kReject: {
-        StatusOr<UdaoRecommendation> rejected =
-            Status::Unavailable("admission queue full (max depth " +
-                                std::to_string(config_.max_queue_depth) +
-                                ")");
-        AccountResponse(rejected, emit);
-        done(std::move(rejected));
-        return;
-      }
-      case ShedPolicy::kServeStaleCache: {
+      case ShedPolicy::kReject:
+        Deliver(*state, Status::Unavailable(
+                            "admission queue full (max depth " +
+                            std::to_string(config_.max_queue_depth) + ")"));
+        return ticket;
+      case ShedPolicy::kServeStaleCache:
         // Step-3-only work (microseconds): cheap enough for the caller's
         // thread, which is the point -- no queue slot consumed.
-        StatusOr<UdaoRecommendation> stale =
-            ServeStale(request, CacheKey(request), /*queue_wait_ms=*/0.0);
-        AccountResponse(stale, emit);
-        done(std::move(stale));
-        return;
-      }
+        Deliver(*state, ServeStale(composed, CacheKey(composed),
+                                   /*queue_wait_ms=*/0.0));
+        return ticket;
       case ShedPolicy::kDegrade:
         degrade_admission = true;
         queue_depth_.fetch_add(1, std::memory_order_relaxed);
@@ -643,14 +599,11 @@ void UdaoService::SubmitInternal(const UdaoRequest& request, Callback done) {
       "udao.service.queue_depth",
       static_cast<double>(queue_depth_.load(std::memory_order_relaxed)));
   const auto enqueued = std::chrono::steady_clock::now();
-  // Init-capture: a plain-copy capture of the const reference parameter
-  // would keep its const, and the degrade clamp below mutates the deadline.
-  admission_.Submit([this, request = request, done = std::move(done), enqueued,
-                     degrade_admission, shed, emit]() mutable {
+  admission_.Submit([this, state = std::move(state),
+                     request = std::move(composed), enqueued,
+                     degrade_admission, shed]() mutable {
     const double queue_wait_ms = NowMs(enqueued);
-    if (emit) {
-      UDAO_METRIC_OBSERVE("udao.service.queue_wait_ms", queue_wait_ms);
-    }
+    UDAO_METRIC_OBSERVE("udao.service.queue_wait_ms", queue_wait_ms);
     if (degrade_admission) {
       // The degraded budget starts when solving starts; a request that also
       // carries its own (tighter) deadline keeps it.
@@ -675,48 +628,17 @@ void UdaoService::SubmitInternal(const UdaoRequest& request, Callback done) {
       }
       return Handle(request, queue_wait_ms);
     }();
-    AccountResponse(out, emit);
     queue_depth_.fetch_sub(1, std::memory_order_relaxed);
-    done(std::move(out));
-  });
-}
-
-RequestTicket UdaoService::Submit(const UdaoRequest& request) {
-  RequestTicket ticket;
-  ticket.state_ = std::make_shared<RequestTicket::State>();
-  std::shared_ptr<RequestTicket::State> state = ticket.state_;
-  UdaoRequest composed = request;
-  // Either source firing -- the caller's own token or the ticket's Cancel()
-  // -- stops this request's solve; composing here keeps the solve stack
-  // single-token.
-  composed.options.cancel = CancellationToken::Any(
-      request.options.cancel, state->cancel.token());
-  SubmitInternal(composed, [state](StatusOr<UdaoRecommendation> r) {
-    // Notify while holding the lock: a Wait()er may otherwise observe the
-    // result and destroy the last ticket copy before NotifyAll touches cv.
-    // The delivery lambda's own shared_ptr keeps the state alive regardless.
-    RequestTicket::State* s = state.get();
-    MutexLock lock(s->mu);
-    s->result.emplace(std::move(r));
-    s->cv.NotifyAll();
+    Deliver(*state, std::move(out));
   });
   return ticket;
 }
 
 UdaoServiceStats UdaoService::stats() const {
-  UdaoServiceStats s;
-  s.requests = requests_.load(std::memory_order_relaxed);
-  s.errors = errors_.load(std::memory_order_relaxed);
-  s.sheds = sheds_.load(std::memory_order_relaxed);
-  s.degraded = degraded_.load(std::memory_order_relaxed);
-  s.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
+  UdaoServiceStats s = counters_.Read();
   s.shards.reserve(shards_.size());
   for (const std::unique_ptr<CacheShard>& shard : shards_) {
-    UdaoServiceShardStats ss;
-    ss.cache_hits = shard->cache_hits.load(std::memory_order_relaxed);
-    ss.cache_misses = shard->cache_misses.load(std::memory_order_relaxed);
-    ss.invalidations = shard->invalidations.load(std::memory_order_relaxed);
-    ss.evictions = shard->evictions.load(std::memory_order_relaxed);
+    const ShardStats ss = shard->counters.Read();
     s.cache_hits += ss.cache_hits;
     s.cache_misses += ss.cache_misses;
     s.invalidations += ss.invalidations;
@@ -726,7 +648,7 @@ UdaoServiceStats UdaoService::stats() const {
   return s;
 }
 
-int UdaoService::CountEntries() const {
+int UdaoService::CacheSize() const {
   int total = 0;
   for (const std::unique_ptr<CacheShard>& shard : shards_) {
     const std::shared_ptr<const Snapshot> snap =
@@ -735,8 +657,6 @@ int UdaoService::CountEntries() const {
   }
   return total;
 }
-
-int UdaoService::CacheSize() const { return CountEntries(); }
 
 int UdaoService::QueueDepth() const {
   return queue_depth_.load(std::memory_order_relaxed);

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -12,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/counter_set.h"
 #include "common/deadline.h"
 #include "common/sync.h"
 #include "common/thread_pool.h"
@@ -22,7 +22,7 @@
 namespace udao {
 
 // ShedPolicy and the per-request RequestOptions knobs (deadline, cancel,
-// shed-policy override, recommendation policy, metrics opt-out) live in
+// shed-policy override, recommendation policy, densify, adaptive) live in
 // tuning/udao.h next to UdaoRequest; this header re-exports them via that
 // include so serving-layer callers keep compiling unchanged.
 
@@ -86,10 +86,10 @@ struct UdaoServiceShardStats {
   long long evictions = 0;      ///< Capacity evictions in this shard.
 };
 
-/// Point-in-time request/cache counters (see UdaoService::stats()). The
-/// cache fields are aggregates over `shards`; the same split is exported to
-/// the metrics registry as `udao.service.shard<i>.*` counters next to the
-/// service-wide `udao.service.*` ones.
+/// Point-in-time request/cache counters (see UdaoService::stats()). Each
+/// field is the service's own count of the registry counter named after it
+/// (`udao.service.<field>`, the densify_* fields `udao.densify.<rest>`); the
+/// cache fields are aggregates over `shards`, whose split exists only here.
 struct UdaoServiceStats {
   long long requests = 0;
   long long cache_hits = 0;
@@ -102,6 +102,14 @@ struct UdaoServiceStats {
   /// Requests failed with DeadlineExceeded (budget gone in queue, or solve
   /// stopped before finding any point).
   long long deadline_exceeded = 0;
+  long long stale_serves = 0;     ///< Answers from an any-generation entry.
+  long long degraded_solves = 0;  ///< Cold solves truncated by the budget.
+  long long stage_refines = 0;    ///< kStage requests given a stage overlay.
+  /// kStage requests whose refinement failed and kept the flat answer.
+  long long stage_refine_fallbacks = 0;
+  long long densify_runs = 0;       ///< Frontiers densified (not memoized).
+  long long densify_stopped = 0;    ///< Densifications cut by the deadline.
+  long long densify_memo_hits = 0;  ///< Densified variants served memoized.
   std::vector<UdaoServiceShardStats> shards;  ///< One entry per cache shard.
 };
 
@@ -143,7 +151,7 @@ class RequestTicket {
 /// Thread-safe serving front-end over Udao + ModelServer (the "within a few
 /// seconds" interactive loop of Fig. 1(a), made multi-tenant).
 ///
-/// Five things distinguish it from calling Udao::Optimize directly:
+/// Six things distinguish it from calling Udao::Optimize directly:
 ///
 ///  - Admission: requests run on a fixed-size ThreadPool, so any number of
 ///    client threads can call Submit() concurrently while solver parallelism
@@ -195,14 +203,10 @@ class RequestTicket {
 ///
 /// Lifetime: the caller keeps `server`, request spaces, and any explicit
 /// request models alive for the service's lifetime. The destructor drains
-/// in-flight requests. Callbacks run on admission workers (or, for shed
-/// requests, on the calling thread): keep them light and never block on
-/// another ticket or call the synchronous Optimize() from inside one (it
-/// would wait for a worker slot while holding one).
+/// in-flight requests. Results are delivered on admission workers (or, for
+/// shed requests, on the calling thread).
 class UdaoService {
  public:
-  using Callback = std::function<void(StatusOr<UdaoRecommendation>)>;
-
   explicit UdaoService(ModelServer* server,
                        UdaoServiceConfig config = UdaoServiceConfig());
 
@@ -233,9 +237,11 @@ class UdaoService {
 
   /// Counter snapshot (approximate under concurrency: the fields are read
   /// individually, not atomically as a group). Includes the per-shard split.
+  /// Exact in every build once the counted results are delivered.
   UdaoServiceStats stats() const;
 
-  /// Frontiers currently cached (summed over shards).
+  /// Frontiers currently cached (summed over shards), read via the
+  /// published snapshots (no shard locks taken; exact between mutations).
   int CacheSize() const;
 
   /// Requests currently queued or running (the value the overload bound
@@ -299,17 +305,13 @@ class UdaoService {
     mutable Mutex mu;
     Snapshot cache UDAO_GUARDED_BY(mu);
     std::atomic<std::shared_ptr<const Snapshot>> snapshot;
-    std::atomic<long long> cache_hits{0};
-    std::atomic<long long> cache_misses{0};
-    std::atomic<long long> invalidations{0};
-    std::atomic<long long> evictions{0};
-    /// Precomputed `udao.service.shard<i>.*` metric names (the UDAO_METRIC_*
-    /// macros need literals; dynamic names go through the registry
-    /// directly).
-    std::string hits_metric;
-    std::string misses_metric;
-    std::string invalidations_metric;
-    std::string evictions_metric;
+    /// Counted under the service-wide names: the registry holds the
+    /// aggregate, stats().shards the split.
+    CounterSet<UdaoServiceShardStats> counters{
+        {&UdaoServiceShardStats::cache_hits, "udao.service.cache_hits"},
+        {&UdaoServiceShardStats::cache_misses, "udao.service.cache_misses"},
+        {&UdaoServiceShardStats::invalidations, "udao.service.invalidations"},
+        {&UdaoServiceShardStats::evictions, "udao.service.evictions"}};
   };
 
   /// Exact byte-serialized cache key: workload, space identity AND structure
@@ -323,27 +325,21 @@ class UdaoService {
   /// budget-truncated results are never inserted.
   std::string CacheKey(const UdaoRequest& request) const;
 
-  /// Core admission path shared by Submit and the deprecated wrappers.
-  void SubmitInternal(const UdaoRequest& request, Callback done);
-
   /// The whole request path; runs on an admission worker. `queue_wait_ms`
   /// is surfaced in the returned recommendation.
   StatusOr<UdaoRecommendation> Handle(const UdaoRequest& request,
                                       double queue_wait_ms);
 
-  /// Lock-free cache lookup incl. staleness check; fills problem/frontier
-  /// (and the entry's recommendation memo) on a hit and counts
-  /// hit/miss/invalidation against `shard`. `emit` gates registry emission
-  /// (per-request metrics opt-out); shard-local atomics always count.
-  bool Lookup(CacheShard& shard, const std::string& key, uint64_t generation,
+  /// Lock-free cache lookup; fills problem/frontier (and, unless null, the
+  /// entry's recommendation memo) on a hit. With a `generation`, an entry
+  /// tagged otherwise is a miss counted as an invalidation against `shard`;
+  /// without one (ShedPolicy::kServeStaleCache) any generation is served and
+  /// nothing is counted, since the request already counted its real lookup.
+  bool Lookup(CacheShard& shard, const std::string& key,
+              std::optional<uint64_t> generation,
               std::shared_ptr<const MooProblem>* problem,
               std::shared_ptr<const PfResult>* frontier,
-              std::shared_ptr<RecommendMemo>* memo, bool emit);
-  /// Generation-blind lookup for ShedPolicy::kServeStaleCache; does not
-  /// count hits or misses (the request already counted its real lookup).
-  bool LookupAnyGeneration(CacheShard& shard, const std::string& key,
-                           std::shared_ptr<const MooProblem>* problem,
-                           std::shared_ptr<const PfResult>* frontier);
+              std::shared_ptr<RecommendMemo>* memo);
   /// `memo` is the new entry's recommendation memo (typically pre-seeded
   /// with the base frontier's conservative re-rank by the inserting
   /// request); on a same-key newer-generation overwrite it replaces the old
@@ -361,21 +357,17 @@ class UdaoService {
 
   CacheShard& ShardFor(const std::string& workload_id) const;
 
-  /// Total entries across shards, read via the published snapshots (no shard
-  /// locks taken; exact between mutations).
-  int CountEntries() const;
-
   /// kServeStaleCache fallback: recommend from whatever is cached under
   /// `key`, any generation, tagged degraded. Unavailable when nothing is.
   StatusOr<UdaoRecommendation> ServeStale(const UdaoRequest& request,
                                           const std::string& key,
                                           double queue_wait_ms);
 
-  /// Response-side bookkeeping shared by every delivery path (worker,
-  /// shed-at-admission): errors / degraded / deadline_exceeded counters.
-  /// `emit` gates registry emission per the request's metrics opt-out.
-  void AccountResponse(const StatusOr<UdaoRecommendation>& response,
-                       bool emit);
+  /// The one delivery path (worker, reject and stale-serve shed): counts
+  /// the response's errors / degraded / deadline_exceeded, then publishes it
+  /// into the ticket's state and wakes its waiters.
+  void Deliver(RequestTicket::State& state,
+               StatusOr<UdaoRecommendation> response);
 
   ModelServer* server_;
   UdaoServiceConfig config_;
@@ -405,15 +397,9 @@ class UdaoService {
   /// Global recency clock for tick-based per-shard eviction (monotone;
   /// higher = more recently used).
   mutable std::atomic<uint64_t> lru_tick_{0};
-  /// Entries across shards as of the last Insert (feeds the cache_size
-  /// gauge without re-walking shards on reads).
-  mutable std::atomic<int> cache_entries_{0};
 
-  std::atomic<long long> requests_{0};
-  std::atomic<long long> errors_{0};
-  std::atomic<long long> sheds_{0};
-  std::atomic<long long> degraded_{0};
-  std::atomic<long long> deadline_exceeded_{0};
+  /// Service-wide events (the UdaoServiceStats fields outside the cache).
+  CounterSet<UdaoServiceStats> counters_;
   /// Requests admitted but not yet answered (queued + running).
   std::atomic<int> queue_depth_{0};
   /// Wall time of the most recent conservative re-rank of a fresh frontier.

@@ -258,6 +258,58 @@ TEST_F(CheckpointTest, TruncatedTraceFileLoadsNothing) {
   EXPECT_EQ(restored.Generation("w1"), generation);
 }
 
+TEST_F(CheckpointTest, LoadAdvancesGenerationOncePerLoad) {
+  ModelServer original;
+  for (int i = 0; i < 5; ++i) {
+    original.Ingest("w", "latency", {0.2 * i, 0.5}, 1.0 + i);
+  }
+  ASSERT_TRUE(
+      SaveModelServerData(original, {"w"}, {"latency"}, dir_.string()).ok());
+  ModelServer restored;
+  ASSERT_EQ(restored.Generation("w"), 0u);
+  const Status loaded = LoadModelServerData(dir_.string(), &restored);
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  EXPECT_EQ(restored.NumTraces("w", "latency"), 5);
+  EXPECT_EQ(restored.Generation("w"), 1u);
+}
+
+TEST_F(CheckpointTest, TwoFileLoadForOneWorkloadAdvancesGenerationByOne) {
+  ModelServer original;
+  for (int i = 0; i < 3; ++i) {
+    original.Ingest("w", "latency", {0.25 * i, 0.5}, 1.0 + i);
+    original.Ingest("w", "cost", {0.25 * i, 0.5}, 2.0 + i);
+  }
+  ASSERT_TRUE(SaveModelServerData(original, {"w"}, {"latency", "cost"},
+                                  dir_.string())
+                  .ok());
+  ModelServer restored;
+  ASSERT_TRUE(restored.Ingest("w", "latency", {0.9, 0.9}, 4.0).ok());
+  ASSERT_TRUE(restored.Ingest("other", "latency", {0.9, 0.9}, 4.0).ok());
+  const uint64_t before = restored.Generation("w");
+  const Status loaded = LoadModelServerData(dir_.string(), &restored);
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  EXPECT_EQ(restored.NumTraces("w", "latency"), 4);
+  EXPECT_EQ(restored.NumTraces("w", "cost"), 3);
+  EXPECT_EQ(restored.Generation("w"), before + 1);
+  EXPECT_EQ(restored.Generation("other"), 1u);
+}
+
+TEST_F(CheckpointTest, FilesDisagreeingOnDimensionLoadNothing) {
+  // Two files for one pair: each parses, but their column counts differ.
+  {
+    std::ofstream a(Path("a.traces"));
+    a << "udao-traces-v1\nw\nlatency\n1 2\n0.1 0.2 1.0\n";
+    std::ofstream b(Path("b.traces"));
+    b << "udao-traces-v1\nw\nlatency\n1 3\n0.1 0.2 0.3 1.0\n";
+  }
+  ModelServer restored;
+  const Status loaded = LoadModelServerData(dir_.string(), &restored);
+  EXPECT_EQ(loaded.code(), StatusCode::kInvalidArgument) << loaded.ToString();
+  EXPECT_EQ(restored.GetData("w", "latency").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(restored.Generation("w"), 0u);
+}
+
 TEST_F(CheckpointTest, LoadFromMissingDirectoryFails) {
   ModelServer server;
   EXPECT_FALSE(LoadModelServerData(Path("nope"), &server).ok());

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/fault_injector.h"
+#include "common/metrics_registry.h"
 #include "common/random.h"
 #include "moo/progressive_frontier.h"
 #include "moo/solve_coalescer.h"
@@ -359,6 +360,67 @@ TEST(SolveCoalescerTest, RepeatedMinimizeHitsTheMemo) {
   EXPECT_EQ(stats.min_solves, 2);
   EXPECT_EQ(stats.min_dedup_hits, 0);
   EXPECT_EQ(stats.min_memo_hits, 1);
+}
+
+// stats() and the registry read one set of counters: every Stats field
+// equals its `udao.coalescer.<field>` registry counter. Runs the dedup and
+// memo scenarios above on one coalescer. Not reached: inline_fallbacks
+// (needs a submission racing the destructor).
+TEST(SolveCoalescerTest, CountersMatchRegistry) {
+  MetricsRegistry::Global().Reset();
+  const MooProblem problem = ConvexProblem();
+  SolveCoalescerConfig cc;
+  cc.mogd = FastMogd();
+  cc.max_batch = 2;  // both single-problem submissions share one window
+  cc.max_wait_us = 2e6;
+  SolveCoalescer coalescer(cc);
+
+  const std::vector<CoProblem> shared = {ProbeLadder(3)[0]};
+  for (int round = 0; round < 2; ++round) {  // dedup, then memo hits
+    std::thread ta([&] {
+      (void)coalescer.SolveBatch(problem, shared, nullptr, StopToken());
+    });
+    std::thread tb([&] {
+      (void)coalescer.SolveBatch(problem, shared, nullptr, StopToken());
+    });
+    ta.join();
+    tb.join();
+  }
+  (void)coalescer.Minimize(problem, 1, nullptr, StopToken());
+  (void)coalescer.Minimize(problem, 1, nullptr, StopToken());  // memo hit
+
+  const SolveCoalescer::Stats s = coalescer.stats();
+  EXPECT_EQ(s.submissions, 4);
+  EXPECT_EQ(s.problems, 4);
+  EXPECT_EQ(s.flushes, 2);
+  EXPECT_EQ(s.fuse_groups, 1);
+  EXPECT_EQ(s.fused_chunks, 1);
+  EXPECT_EQ(s.fused_problems, 0);  // the twin waited; it shared no chunk
+  EXPECT_EQ(s.inline_fallbacks, 0);
+  EXPECT_EQ(s.dedup_hits, 1);
+  EXPECT_EQ(s.memo_hits, 2);
+  EXPECT_EQ(s.min_solves, 2);
+  EXPECT_EQ(s.min_dedup_hits, 0);
+  EXPECT_EQ(s.min_memo_hits, 1);
+#if UDAO_METRICS_ENABLED
+  const std::pair<const char*, long long> table[] = {
+      {"udao.coalescer.submissions", s.submissions},
+      {"udao.coalescer.problems", s.problems},
+      {"udao.coalescer.flushes", s.flushes},
+      {"udao.coalescer.fuse_groups", s.fuse_groups},
+      {"udao.coalescer.fused_chunks", s.fused_chunks},
+      {"udao.coalescer.fused_problems", s.fused_problems},
+      {"udao.coalescer.inline_fallbacks", s.inline_fallbacks},
+      {"udao.coalescer.dedup_hits", s.dedup_hits},
+      {"udao.coalescer.memo_hits", s.memo_hits},
+      {"udao.coalescer.min_solves", s.min_solves},
+      {"udao.coalescer.min_dedup_hits", s.min_dedup_hits},
+      {"udao.coalescer.min_memo_hits", s.min_memo_hits},
+  };
+  for (const auto& [name, value] : table) {
+    EXPECT_EQ(MetricsRegistry::Global().CounterValue(name), value) << name;
+  }
+#endif
 }
 
 // Deadline-armed Minimize calls stay exactly solo: no registration, no

@@ -256,6 +256,8 @@ TEST(KernelParityTest, ArenaStopsGrowingAfterWarmup) {
 // Arena growth is observable: a fresh thread's first batched call reserves
 // slabs and reports the bytes through the metrics registry.
 TEST(KernelParityTest, ArenaGrowthReportsCounter) {
+  // The counter is compiled out with the rest of the instrumentation under
+  // -DUDAO_METRICS=OFF; the reservation itself is checked in every build.
   const long long before =
       MetricsRegistry::Global().CounterValue("udao.nn.arena_bytes");
   const Mlp mlp = MakeMlp({4, 16, 1}, Activation::kRelu, 9);
@@ -272,7 +274,11 @@ TEST(KernelParityTest, ArenaGrowthReportsCounter) {
   EXPECT_GT(thread_reserved, 0u);
   const long long after =
       MetricsRegistry::Global().CounterValue("udao.nn.arena_bytes");
+#if UDAO_METRICS_ENABLED
   EXPECT_GE(after - before, static_cast<long long>(thread_reserved));
+#else
+  EXPECT_EQ(after, before);
+#endif
 }
 
 }  // namespace

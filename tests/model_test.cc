@@ -276,6 +276,34 @@ TEST(ModelServerTest, NotFoundBeforeIngestion) {
   EXPECT_EQ(server.NumTraces("w1", "latency"), 0);
 }
 
+TEST(ModelServerTest, IngestBatchIsAllOrNothing) {
+  ModelServer server;
+  ASSERT_TRUE(server.Ingest("w", "cost", {0.5, 0.5}, 1.0).ok());
+  const std::string w = "w";
+  const std::string latency = "latency";
+  const std::string cost = "cost";
+  const std::vector<Vector> two_dim = {{0.1, 0.2}, {0.3, 0.4}};
+  const std::vector<Vector> three_dim = {{0.1, 0.2, 0.3}};
+  const Vector y = {1.0, 2.0};
+  // The second set disagrees with the resident "cost" traces: the first,
+  // valid set must not land either.
+  const std::vector<ModelServer::TraceRows> bad = {
+      {&w, &latency, two_dim.data(), y.data(), two_dim.size()},
+      {&w, &cost, three_dim.data(), y.data(), three_dim.size()}};
+  EXPECT_EQ(server.IngestBatch(bad).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(server.NumTraces("w", "latency"), 0);
+  EXPECT_EQ(server.NumTraces("w", "cost"), 1);
+  EXPECT_EQ(server.Generation("w"), 1u);
+
+  const std::vector<ModelServer::TraceRows> good = {
+      {&w, &latency, two_dim.data(), y.data(), two_dim.size()},
+      {&w, &cost, two_dim.data(), y.data(), two_dim.size()}};
+  ASSERT_TRUE(server.IngestBatch(good).ok());
+  EXPECT_EQ(server.NumTraces("w", "latency"), 2);
+  EXPECT_EQ(server.NumTraces("w", "cost"), 3);
+  EXPECT_EQ(server.Generation("w"), 2u);  // one bump for the whole batch
+}
+
 ModelServerConfig TinyDnnConfig() {
   ModelServerConfig cfg;
   cfg.kind = ModelKind::kDnn;

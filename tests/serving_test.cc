@@ -10,8 +10,11 @@
 #include <vector>
 
 #include "common/fault_injector.h"
+#include "common/metrics_registry.h"
 #include "common/random.h"
+#include "model/analytic_models.h"
 #include "serving/udao_service.h"
+#include "spark/engine.h"
 #include "test_problems.h"
 
 namespace udao {
@@ -428,6 +431,170 @@ TEST(UdaoServiceTest, TicketTryGetPollsWithoutBlocking) {
   }
   ASSERT_TRUE(result->ok()) << result->status().ToString();
   EXPECT_FALSE((*result)->frontier.frontier.empty());
+}
+
+// Every UdaoServiceStats counter next to the registry counter it exports.
+// stats() is the service's own count; with the registry compiled in, the
+// registry (reset at the start of the test, one service alive) must read
+// the same value for every entry.
+void ExpectRegistryMatchesStats(const UdaoServiceStats& s) {
+#if UDAO_METRICS_ENABLED
+  const std::pair<const char*, long long> table[] = {
+      {"udao.service.requests", s.requests},
+      {"udao.service.cache_hits", s.cache_hits},
+      {"udao.service.cache_misses", s.cache_misses},
+      {"udao.service.invalidations", s.invalidations},
+      {"udao.service.evictions", s.evictions},
+      {"udao.service.errors", s.errors},
+      {"udao.service.sheds", s.sheds},
+      {"udao.service.degraded", s.degraded},
+      {"udao.service.deadline_exceeded", s.deadline_exceeded},
+      {"udao.service.stale_serves", s.stale_serves},
+      {"udao.service.degraded_solves", s.degraded_solves},
+      {"udao.service.stage_refines", s.stage_refines},
+      {"udao.service.stage_refine_fallbacks", s.stage_refine_fallbacks},
+      {"udao.densify.runs", s.densify_runs},
+      {"udao.densify.stopped", s.densify_stopped},
+      {"udao.densify.memo_hits", s.densify_memo_hits},
+  };
+  for (const auto& [name, value] : table) {
+    EXPECT_EQ(MetricsRegistry::Global().CounterValue(name), value) << name;
+  }
+#else
+  (void)s;
+#endif
+}
+
+TEST(UdaoServiceTest, CountersMatchRegistryAcrossEveryServingPath) {
+  // One scripted pass over every counted event. Not reached here:
+  // densify_stopped (needs a deadline to expire inside densification) and
+  // the stage_refine* pair (StageRefineCountersMatchRegistry below).
+  MetricsRegistry::Global().Reset();
+  FaultInjector::Global().Reset();
+  ModelServer server;
+  UdaoServiceConfig config = FastServiceConfig();
+  config.admission_threads = 1;
+  config.cache_shards = 1;
+  config.frontier_cache_capacity = 1;
+  config.max_queue_depth = 1;
+  UdaoService service(&server, config);
+
+  const UdaoRequest a = ConvexRequest();
+  UdaoRequest b = ConvexRequest();
+  b.objectives[0].upper = 0.8;
+
+  ASSERT_TRUE(service.Submit(a).Wait().ok());  // miss
+  ASSERT_TRUE(service.Submit(a).Wait().ok());  // hit
+  server.Ingest("w", "f1", {0.5, 0.5}, 1.0);
+  ASSERT_TRUE(service.Submit(a).Wait().ok());  // invalidation + miss
+  ASSERT_TRUE(service.Submit(b).Wait().ok());  // miss, evicts a
+
+  UdaoRequest dense = b;
+  dense.options.densify_samples = 4;
+  ASSERT_TRUE(service.Submit(dense).Wait().ok());  // hit, densify run
+  ASSERT_TRUE(service.Submit(dense).Wait().ok());  // hit, densify memo hit
+
+  // Overload: `a` (evicted) stalls in its solve and holds the only slot.
+  FaultInjector::Global().DelayNext("pf.probe", 300.0, 1);
+  RequestTicket stalled = service.Submit(a);                    // miss
+  EXPECT_EQ(service.Submit(b).Wait().status().code(),
+            StatusCode::kUnavailable);                          // reject shed
+  UdaoRequest stale = b;
+  stale.options.shed_policy = ShedPolicy::kServeStaleCache;
+  auto served = service.Submit(stale).Wait();                   // stale serve
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_TRUE(served->degraded);
+  ASSERT_TRUE(stalled.Wait().ok());  // inserts a, evicts b
+  FaultInjector::Global().Reset();
+
+  UdaoRequest expired = b;
+  expired.options.deadline = Deadline::AfterMs(0.0);
+  EXPECT_EQ(service.Submit(expired).Wait().status().code(),
+            StatusCode::kDeadlineExceeded);
+
+  // A budget that survives the queue but dies in the stalled first probe.
+  UdaoRequest budgeted = ConvexRequest();
+  budgeted.workload_id = "w2";  // a key never cached
+  budgeted.options.deadline = Deadline::AfterMs(250.0);
+  FaultInjector::Global().DelayNext("pf.probe", 500.0, 1);
+  auto truncated = service.Submit(budgeted).Wait();  // miss, degraded solve
+  FaultInjector::Global().Reset();
+  ASSERT_TRUE(truncated.ok()) << truncated.status().ToString();
+  EXPECT_TRUE(truncated->degraded);
+
+  const UdaoServiceStats s = service.stats();
+  EXPECT_EQ(s.requests, 11);
+  EXPECT_EQ(s.cache_hits, 3);
+  EXPECT_EQ(s.cache_misses, 5);
+  EXPECT_EQ(s.invalidations, 1);
+  EXPECT_EQ(s.evictions, 2);
+  EXPECT_EQ(s.errors, 2);
+  EXPECT_EQ(s.sheds, 2);
+  EXPECT_EQ(s.degraded, 2);
+  EXPECT_EQ(s.deadline_exceeded, 1);
+  EXPECT_EQ(s.stale_serves, 1);
+  EXPECT_EQ(s.degraded_solves, 1);
+  EXPECT_EQ(s.densify_runs, 1);
+  EXPECT_EQ(s.densify_memo_hits, 1);
+  EXPECT_EQ(s.densify_stopped, 0);
+  EXPECT_EQ(s.stage_refines, 0);
+  EXPECT_EQ(s.stage_refine_fallbacks, 0);
+  ASSERT_EQ(s.shards.size(), 1u);
+  EXPECT_EQ(s.shards[0].cache_hits, s.cache_hits);
+  EXPECT_EQ(s.shards[0].cache_misses, s.cache_misses);
+  EXPECT_EQ(s.shards[0].invalidations, s.invalidations);
+  EXPECT_EQ(s.shards[0].evictions, s.evictions);
+  ExpectRegistryMatchesStats(s);
+}
+
+// A small SQL plan whose stages the engine can re-plan per request.
+Dataflow StageFlow() {
+  Dataflow flow("stage_sql", WorkloadClass::kSql);
+  const int scan = flow.AddScan(8e7, 120);
+  const int ex = flow.AddOp({.type = OpType::kExchange, .inputs = {scan}});
+  flow.AddOp(
+      {.type = OpType::kHashAggregate, .inputs = {ex}, .selectivity = 0.1});
+  return flow;
+}
+
+TEST(UdaoServiceTest, StageRefineCountersMatchRegistry) {
+  MetricsRegistry::Global().Reset();
+  FaultInjector::Global().Reset();
+  ModelServer server;
+  SparkEngine engine;
+  UdaoServiceConfig config = FastServiceConfig();
+  config.engine = &engine;
+  UdaoService service(&server, config);
+
+  const Dataflow flow = StageFlow();
+  UdaoRequest request;
+  request.workload_id = "stage";
+  request.space = &BatchParamSpace();
+  request.flow = &flow;
+  request.objectives = {
+      {.name = "latency",
+       .model = MakeAnalyticBatchLatencyModel(AnalyticWorkload{})},
+      {.name = "cores", .model = MakeCostCoresModel()}};
+  request.options.adaptive.granularity = AdaptiveGranularity::kStage;
+  request.options.adaptive.resolve_budget_ms = 5000.0;
+
+  auto refined = service.Submit(request).Wait();
+  ASSERT_TRUE(refined.ok()) << refined.status().ToString();
+  EXPECT_FALSE(refined->stage_confs.empty());
+  FaultInjector::Global().FailNext("moo.stage_resolve",
+                                   Status::Unavailable("injected"), 1);
+  auto flat = service.Submit(request).Wait();
+  FaultInjector::Global().Reset();
+  ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+  EXPECT_TRUE(flat->stage_confs.empty());
+
+  const UdaoServiceStats s = service.stats();
+  EXPECT_EQ(s.requests, 2);
+  EXPECT_EQ(s.cache_misses, 1);
+  EXPECT_EQ(s.cache_hits, 1);
+  EXPECT_EQ(s.stage_refines, 1);
+  EXPECT_EQ(s.stage_refine_fallbacks, 1);
+  ExpectRegistryMatchesStats(s);
 }
 
 }  // namespace
